@@ -1423,10 +1423,14 @@ let traffic_cmd =
            Printf.sprintf ", shards=%d (shard-jobs=%d)" shards shard_jobs
          else "");
       Format.printf "router: %s@." router;
-      Format.printf
-        "blocking: %.5f  (95%% CI [%.5f, %.5f], %d batches, %d measured calls)@."
-        b.Batch_means.mean b.Batch_means.ci_low b.Batch_means.ci_high
-        b.Batch_means.batches b.Batch_means.count;
+      let ci =
+        if Float.is_nan b.Batch_means.ci_low then "CI undefined (1 replication)"
+        else
+          Printf.sprintf "95%% CI [%.5f, %.5f]" b.Batch_means.ci_low
+            b.Batch_means.ci_high
+      in
+      Format.printf "blocking: %.5f  (%s, %d batches, %d measured calls)@."
+        b.Batch_means.mean ci b.Batch_means.batches b.Batch_means.count;
       Format.printf
         "occupancy (Little's L): %.3f   carried (lambda x W): %.3f@."
         s.Traffic.occupancy s.Traffic.carried;
@@ -1498,7 +1502,7 @@ let traffic_cmd =
                 rearrange[:BUDGET] (re-lay all live calls with backtracking \
                 when the greedy probe blocks; default budget 10000), staged \
                 (level-bounded bidirectional BFS on staged families) or \
-                loop (Benes block-tree descent with staged fallback).  \
+                loop (Benes looping descent with staged fallback).  \
                 staged/loop keep greedy's accept/block decisions but route \
                 each call in O(depth) instead of O(switches); the table and \
                 JSON report which router actually engaged.")
@@ -1734,7 +1738,7 @@ let serve_cmd =
           ~doc:
             "Routing engine for live decisions: greedy (CSR-order BFS), \
              staged (level-bounded bidirectional BFS) or loop (Benes \
-             block-tree descent).  All three agree on accept vs block; \
+             looping descent).  All three agree on accept vs block; \
              rearrange is not available because the daemon decides one \
              request at a time.")
   in

@@ -222,6 +222,7 @@ type state = {
   idle_out : pool;
   conn : Dyn_conn.t;  (* incremental Lemma-7 catastrophe check *)
   route_buf : int array;  (* shared allocation-free routing target *)
+  route_ebuf : int array;  (* ... and the switches of its hops *)
   (* hot float scalars live in a flat float array so per-event updates
      don't box: 0 = now, 1 = area (∫ live-call count dt since
      window_start), 2 = holding_sum, 3 = current drain window end *)
@@ -309,6 +310,7 @@ let init ~rng ~cfg net =
     idle_out = pool_create (Network.n_outputs net);
     conn = Dyn_conn.create ~terminals:(Network.terminals net) g;
     route_buf = Array.make n 0;
+    route_ebuf = Array.make n 0;
     fs = Array.make 4 0.0;
     offered = 0;
     served = 0;
@@ -366,23 +368,6 @@ let slot_edges st slot len =
     p'
   end
 
-(* the BFS only crossed normal switches, so every hop has a normal edge;
-   with parallel edges the first normal edge in CSR order is the switch
-   the call occupies (a deterministic choice) *)
-let edges_of_slot st slot =
-  let g = st.net.Network.graph in
-  let plen = st.calls.c_plen.(slot) in
-  let path = st.calls.c_path.(slot) in
-  let edges = slot_edges st slot (max (plen - 1) 0) in
-  for i = 0 to plen - 2 do
-    let u = path.(i) and v = path.(i + 1) in
-    let e = ref (-1) in
-    Digraph.iter_out g u (fun ~dst ~eid ->
-        if !e < 0 && dst = v && is_normal st.fstate.(eid) then e := eid);
-    if !e < 0 then invalid_arg "Traffic: path hop has no normal switch";
-    edges.(i) <- !e
-  done
-
 let note_concurrency st =
   if st.calls.live_count > st.max_concurrent then
     st.max_concurrent <- st.calls.live_count
@@ -428,7 +413,8 @@ let adopt_buf st slot ~len =
   let p = slot_path st slot len in
   Array.blit st.route_buf 0 p 0 len;
   s.c_plen.(slot) <- len;
-  edges_of_slot st slot;
+  let hops = max (len - 1) 0 in
+  Array.blit st.route_ebuf 0 (slot_edges st slot hops) 0 hops;
   for i = 0 to len - 1 do
     st.owner.(p.(i)) <- slot
   done;
@@ -443,7 +429,8 @@ let set_path_list st slot path =
   let p = slot_path st slot len in
   List.iteri (fun i v -> p.(i) <- v) path;
   st.calls.c_plen.(slot) <- len;
-  edges_of_slot st slot
+  Greedy.path_edges st.router p ~len
+    ~ebuf:(slot_edges st slot (max (len - 1) 0))
 
 let adopt_list st slot path =
   set_path_list st slot path;
@@ -566,7 +553,8 @@ let handle_arrival st =
       let input = st.net.Network.inputs.(i)
       and output = st.net.Network.outputs.(o) in
       let len =
-        Greedy.route_into st.router ~input ~output ~buf:st.route_buf
+        Greedy.route_into_edges st.router ~input ~output ~buf:st.route_buf
+          ~ebuf:st.route_ebuf
       in
       if len >= 0 then begin
         place_new_buf st ~i ~o ~len;
@@ -635,7 +623,8 @@ let sever st e ~u ~v =
       let input = st.net.Network.inputs.(st.calls.c_in.(slot))
       and output = st.net.Network.outputs.(st.calls.c_out.(slot)) in
       let len =
-        Greedy.route_into st.router ~input ~output ~buf:st.route_buf
+        Greedy.route_into_edges st.router ~input ~output ~buf:st.route_buf
+          ~ebuf:st.route_ebuf
       in
       if len >= 0 then begin
         (* same slot, same stamp: the pending hangup stays valid *)
@@ -1072,11 +1061,11 @@ let estimate ?jobs ?trace ?(label = "traffic.estimate") ~trials ~rng
       in
       if Array.length rep_means >= 2 then
         Batch_means.of_means ~count rep_means
-      else begin
-        let mean = rep_means.(0) in
-        { Batch_means.mean; ci_low = mean; ci_high = mean; batches = 1;
-          count }
-      end
+      else
+        (* one replication and fewer than two batches: no spread to
+           estimate, so the interval is undefined, not zero-width *)
+        { Batch_means.mean = rep_means.(0); ci_low = Float.nan;
+          ci_high = Float.nan; batches = 1; count }
     end
   in
   {

@@ -91,7 +91,7 @@ type policy =
           paths — is not bit-identical to the greedy run *)
   | Route_loop
       (** greedy operation on {!Ftcsn_routing.Loop_route}'s Beneš
-          block-tree descent, falling back to [Route_staged] search
+          looping descent, falling back to [Route_staged] search
           off the Beneš family or inside heavily faulted blocks; same
           accept/block equivalence as [Route_staged] *)
 
@@ -198,7 +198,9 @@ type summary = {
   replications : int;
   blocking : Batch_means.summary;
       (** batch means pooled across replications (replication-level
-          means when no batches were recorded) *)
+          means when no batches were recorded); with one replication and
+          fewer than two batches the interval is undefined: [ci_low] and
+          [ci_high] are [nan] *)
   occupancy : float;  (** mean over replications *)
   carried : float;
   t_offered : int;  (** totals over all replications *)

@@ -71,6 +71,92 @@ let network t = t.net
 
 let create n = network (make n)
 
+(* [build] allocates each block's vertices as top_in, bot_in, the two
+   halves, outs, and its edges as the entry column, the two halves, the
+   exit column; the sizes below follow from that order:
+   V(2) = 2, V(2^k) = 2^(k+1) + 2 V(2^(k-1))  =>  V(2^k) = 2^k (2k - 1);
+   E(2) = 4, E(2^k) = 2^(k+2) + 2 E(2^(k-1))  =>  E(2^k) = 2^(k+1) (2k - 1). *)
+module Layout = struct
+  let wires k = (1 lsl k) * ((2 * k) - 1)
+  let switches k = (1 lsl (k + 1)) * ((2 * k) - 1)
+  let out_wire ~k ~vb j = vb + wires k - (1 lsl k) + j
+  let half_in ~k ~vb ~h i = vb + (h lsl (k - 1)) + i
+  let sub_vb ~k ~vb ~h = vb + (1 lsl k) + (h * wires (k - 1))
+  let sub_eb ~k ~eb ~h = eb + (1 lsl (k + 1)) + (h * switches (k - 1))
+
+  let entry_switch ~eb ~h r = eb + (2 * r) + h
+
+  let exit_switch ~k ~eb ~h o =
+    eb + (1 lsl (k + 1)) + (2 * switches (k - 1)) + (4 * (o lsr 1)) + (2 * h)
+    + (o land 1)
+
+  let leaf_switch ~eb r o = eb + (2 * r) + o
+
+  (* The verification walks every block in allocation order, so it reads
+     edge ids 0, 1, 2, ... once each; all helpers are top-level and take
+     ints, so the pass allocates nothing. *)
+  let edge_is g e ~src ~dst =
+    Digraph.edge_src g e = src && Digraph.edge_dst g e = dst
+
+  let rec entry_ok g ~k ~ib ~vb ~eb r =
+    r = 1 lsl k
+    || edge_is g (entry_switch ~eb ~h:0 r) ~src:(ib + r)
+         ~dst:(half_in ~k ~vb ~h:0 (r / 2))
+       && edge_is g (entry_switch ~eb ~h:1 r) ~src:(ib + r)
+            ~dst:(half_in ~k ~vb ~h:1 (r / 2))
+       && entry_ok g ~k ~ib ~vb ~eb (r + 1)
+
+  (* exit switch i joins output wire i of each half to outs 2i, 2i+1 *)
+  let rec exit_ok g ~k ~vb ~eb i =
+    i = 1 lsl (k - 1)
+    || exit_half_ok g ~k ~vb ~eb ~h:0 i
+       && exit_half_ok g ~k ~vb ~eb ~h:1 i
+       && exit_ok g ~k ~vb ~eb (i + 1)
+
+  and exit_half_ok g ~k ~vb ~eb ~h i =
+    let src = out_wire ~k:(k - 1) ~vb:(sub_vb ~k ~vb ~h) i in
+    edge_is g (exit_switch ~k ~eb ~h (2 * i)) ~src
+      ~dst:(out_wire ~k ~vb (2 * i))
+    && edge_is g (exit_switch ~k ~eb ~h ((2 * i) + 1)) ~src
+         ~dst:(out_wire ~k ~vb ((2 * i) + 1))
+
+  let rec block_ok g ~k ~ib ~vb ~eb =
+    if k = 1 then
+      edge_is g (leaf_switch ~eb 0 0) ~src:ib ~dst:(out_wire ~k ~vb 0)
+      && edge_is g (leaf_switch ~eb 0 1) ~src:ib ~dst:(out_wire ~k ~vb 1)
+      && edge_is g (leaf_switch ~eb 1 0) ~src:(ib + 1)
+           ~dst:(out_wire ~k ~vb 0)
+      && edge_is g (leaf_switch ~eb 1 1) ~src:(ib + 1)
+           ~dst:(out_wire ~k ~vb 1)
+    else
+      entry_ok g ~k ~ib ~vb ~eb 0
+      && sub_ok g ~k ~vb ~eb ~h:0
+      && sub_ok g ~k ~vb ~eb ~h:1
+      && exit_ok g ~k ~vb ~eb 0
+
+  and sub_ok g ~k ~vb ~eb ~h =
+    block_ok g ~k:(k - 1)
+      ~ib:(half_in ~k ~vb ~h 0)
+      ~vb:(sub_vb ~k ~vb ~h) ~eb:(sub_eb ~k ~eb ~h)
+
+  let rec identity_from a base i =
+    i = Array.length a || (a.(i) = base + i && identity_from a base (i + 1))
+
+  let rec log2 n = if n <= 1 then 0 else 1 + log2 (n / 2)
+
+  let matches (net : Network.t) =
+    let n = Array.length net.Network.inputs and g = net.Network.graph in
+    is_power_of_two n && n >= 2
+    &&
+    let k = log2 n in
+    Array.length net.Network.outputs = n
+    && Digraph.vertex_count g = n + wires k
+    && Digraph.edge_count g = switches k
+    && identity_from net.Network.inputs 0 0
+    && identity_from net.Network.outputs (wires k) 0
+    && block_ok g ~k ~ib:0 ~vb:n ~eb:0
+end
+
 (* Looping algorithm: two requests sharing an input switch (or an output
    switch) must take different halves.  The constraint graph is a union
    of two perfect matchings, i.e. a disjoint union of even cycles, which
@@ -133,9 +219,6 @@ let route t pi =
   if not (Perm.is_valid pi) then invalid_arg "Benes.route: not a permutation";
   route_node t.root pi
 
-let switch_columns t =
-  let n = Network.n_inputs t.net in
-  let rec log2 n = if n <= 1 then 0 else 1 + log2 (n / 2) in
-  (2 * log2 n) - 1
+let switch_columns t = (2 * Layout.log2 (Network.n_inputs t.net)) - 1
 
 let root t = t.root

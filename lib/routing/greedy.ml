@@ -33,6 +33,9 @@ type t = {
      would allocate on every route *)
   ok : int -> bool;
   fast : fast;
+  (* where the looping descent writes the switches [route_into] does not
+     hand out *)
+  hop_buf : int array;
 }
 
 let create ?(allowed = fun _ -> true) ?(edge_ok = fun _ -> true) ?rng
@@ -65,6 +68,10 @@ let create ?(allowed = fun _ -> true) ?(edge_ok = fun _ -> true) ?rng
     path_buf = Array.make n 0;
     ok;
     fast;
+    hop_buf =
+      (match fast with
+      | Fast_loop l -> Array.make (Loop_route.path_length l) 0
+      | No_fast | Fast_staged _ -> [||]);
   }
 
 let network t = t.net
@@ -79,8 +86,9 @@ let busy t v = Bitset.mem t.busy_set v
 
 (* the deterministic search behind [route]/[route_into]: plain CSR-order
    BFS on the arena (path-identical to [Traverse.shortest_path_into]), or
-   the structure-aware engine when one engaged at [create] *)
-let search t ~src ~dst ~buf =
+   the structure-aware engine when one engaged at [create].  The looping
+   descent also writes the path's switches into [ebuf]. *)
+let search t ~src ~dst ~buf ~ebuf =
   Counter.incr c_search;
   match t.fast with
   | No_fast ->
@@ -91,6 +99,7 @@ let search t ~src ~dst ~buf =
         ~buf
   | Fast_loop l ->
       Loop_route.route_into l ~allowed:t.ok ~edge_ok:t.edge_ok ~src ~dst ~buf
+        ~ebuf
 
 (* BFS with shuffled expansion order: each dequeued vertex's edge_ok
    out-neighbours are collected in CSR order and shuffled, so the parent
@@ -158,7 +167,9 @@ let route t ~input ~output =
     let path =
       match t.rng with
       | None ->
-          let len = search t ~src:input ~dst:output ~buf:t.path_buf in
+          let len =
+            search t ~src:input ~dst:output ~buf:t.path_buf ~ebuf:t.hop_buf
+          in
           if len < 0 then None
           else begin
             let rec take i acc =
@@ -184,7 +195,7 @@ let occupy t path = List.iter (Bitset.add t.busy_set) path
    over a routing loop.  The default deterministic BFS shares its visit
    discipline with [Traverse.shortest_path_into], so [route_into] yields
    exactly the path [route] would have returned as a list. *)
-let route_into t ~input ~output ~buf =
+let route_buf t ~input ~output ~buf ~ebuf =
   (match t.rng with
   | Some _ -> invalid_arg "Greedy.route_into: not available on a shuffled router"
   | None -> ());
@@ -192,12 +203,43 @@ let route_into t ~input ~output ~buf =
     invalid_arg "Greedy.route_into: endpoint already busy";
   if not (t.ok input && t.ok output) then -1
   else begin
-    let len = search t ~src:input ~dst:output ~buf in
+    let len = search t ~src:input ~dst:output ~buf ~ebuf in
     for i = 0 to len - 1 do
       Bitset.add t.busy_set buf.(i)
     done;
     len
   end
+
+let route_into t ~input ~output ~buf =
+  route_buf t ~input ~output ~buf ~ebuf:t.hop_buf
+
+(* the first live switch into [v] among CSR slots [j .. stop-1] *)
+let rec first_live_edge edge_ok out_dst out_eid v j stop =
+  if j >= stop then invalid_arg "Greedy.path_edges: path hop has no live switch"
+  else if out_dst.(j) = v && edge_ok out_eid.(j) then out_eid.(j)
+  else first_live_edge edge_ok out_dst out_eid v (j + 1) stop
+
+let path_edges t buf ~len ~ebuf =
+  let g = t.net.Network.graph in
+  let out_off = Digraph.Csr.out_off g
+  and out_dst = Digraph.Csr.out_dst g
+  and out_eid = Digraph.Csr.out_eid g in
+  for i = 0 to len - 2 do
+    let u = buf.(i) in
+    ebuf.(i) <-
+      first_live_edge t.edge_ok out_dst out_eid buf.(i + 1) out_off.(u)
+        out_off.(u + 1)
+  done
+
+let route_into_edges t ~input ~output ~buf ~ebuf =
+  let len = route_buf t ~input ~output ~buf ~ebuf in
+  let descended =
+    match t.fast with
+    | Fast_loop l -> Loop_route.descended l
+    | No_fast | Fast_staged _ -> false
+  in
+  if len > 1 && not descended then path_edges t buf ~len ~ebuf;
+  len
 
 let release_buf t buf ~len =
   for i = 0 to len - 1 do

@@ -17,8 +17,8 @@ type engine = [ `Bfs | `Staged | `Loop ]
     - [`Staged] — {!Staged_route}'s level-bounded bidirectional BFS,
       O(depth × frontier) on strictly staged families; falls back to
       [`Bfs] when the network is not strictly staged.
-    - [`Loop] — {!Loop_route}'s Beneš block-tree descent, O(depth) on the
-      fault-free fast path; falls back to [`Staged] (then [`Bfs]) off the
+    - [`Loop] — {!Loop_route}'s Beneš descent by index arithmetic,
+      O(depth) on the fault-free fast path; falls back to [`Staged] (then [`Bfs]) off the
       Beneš family.
 
     All three agree exactly on accept vs. blocked; the fast engines may
@@ -74,6 +74,22 @@ val route_into : t -> input:int -> output:int -> buf:int array -> int
     {!route} would return.
     @raise Invalid_argument if an endpoint is busy or the router was
     created with [~rng]. *)
+
+val route_into_edges :
+  t -> input:int -> output:int -> buf:int array -> ebuf:int array -> int
+(** {!route_into} that also hands out the path's switches: the edge id
+    of hop [buf.(i) → buf.(i+1)] goes to [ebuf.(i)] (caller-owned, same
+    length rule as [buf]).  The [`Loop] engine's descent knows them as it
+    routes; other engines and the looping router's fallbacks get them
+    from {!path_edges}.  Allocates nothing. *)
+
+val path_edges : t -> int array -> len:int -> ebuf:int array -> unit
+(** [path_edges t buf ~len ~ebuf] writes into [ebuf.(i)] the switch each
+    hop [buf.(i) → buf.(i+1)] of a path occupies: the first edge in CSR
+    order from [buf.(i)] to [buf.(i+1)] that the router's [edge_ok]
+    accepts (with parallel edges, a deterministic choice).  Allocates
+    nothing.
+    @raise Invalid_argument if a hop has no such edge. *)
 
 val release_buf : t -> int array -> len:int -> unit
 (** Un-busy the path in [buf.(0 .. len-1)]. *)

@@ -1,152 +1,134 @@
 module Network = Ftcsn_networks.Network
-module Benes = Ftcsn_networks.Benes
-module Digraph = Ftcsn_graph.Digraph
+module Layout = Ftcsn_networks.Benes.Layout
+module Metrics = Ftcsn_obs.Metrics
+module Counter = Ftcsn_obs.Counter
+
+(* requests answered by the staged search instead of the descent, in
+   every router of the process *)
+let c_fallback = Metrics.counter Metrics.default "loop_route.fallback"
 
 type t = {
-  g : Digraph.t;
-  root : Benes.node;
-  in_idx : int array;  (* vertex -> input index, -1 elsewhere *)
-  out_idx : int array;  (* vertex -> output index, -1 elsewhere *)
+  net : Network.t;
+  n : int;
+  lg : int;  (* log2 n: the root block's level *)
+  nv : int;
   plen : int;  (* every input->output path has 2 log2 n vertices *)
-  budget : int;  (* descent node-visit cap before falling back *)
-  staged : Staged_route.t;  (* exact fallback inside faulted blocks *)
+  budget : int;  (* descent block-visit cap before falling back *)
+  mutable staged : Staged_route.t option;  (* exact fallback, built lazily *)
   mutable budget_left : int;
+  mutable descended : bool;
 }
 
 (* raised by the descent when the visit cap runs out; constant, so the
    raise itself allocates nothing *)
 exception Budget_exhausted
 
-let log2 n =
-  let rec go acc n = if n <= 1 then acc else go (acc + 1) (n / 2) in
-  go 0 n
-
-let same_structure net reference =
-  let g = net.Network.graph and r = reference.Network.graph in
-  Digraph.vertex_count g = Digraph.vertex_count r
-  && Digraph.edge_count g = Digraph.edge_count r
-  && (let ok = ref true in
-      let m = Digraph.edge_count g in
-      for e = 0 to m - 1 do
-        if
-          Digraph.edge_src g e <> Digraph.edge_src r e
-          || Digraph.edge_dst g e <> Digraph.edge_dst r e
-        then ok := false
-      done;
-      !ok)
-  && net.Network.inputs = reference.Network.inputs
-  && net.Network.outputs = reference.Network.outputs
-
 let create net =
-  let n = Network.n_inputs net in
-  if
-    net.Network.name <> Printf.sprintf "benes-%d" n
-    || n < 2
-    || n land (n - 1) <> 0
-  then None
+  if not (Layout.matches net) then None
   else begin
-    (* the name is only a hint: rebuild the canonical Benes and require
-       identical vertex numbering, edge list, and terminal arrays, so the
-       block tree below provably describes this graph *)
-    let reference = Benes.make n in
-    if not (same_structure net (Benes.network reference)) then None
-    else
-      match Staged_route.create net with
-      | None -> None
-      | Some staged ->
-          let nv = Digraph.vertex_count net.Network.graph in
-          let in_idx = Array.make nv (-1) and out_idx = Array.make nv (-1) in
-          Array.iteri (fun i v -> in_idx.(v) <- i) net.Network.inputs;
-          Array.iteri (fun i v -> out_idx.(v) <- i) net.Network.outputs;
-          Some
-            {
-              g = net.Network.graph;
-              root = Benes.root reference;
-              in_idx;
-              out_idx;
-              plen = 2 * log2 n;
-              budget = 16 * ((2 * log2 n) - 1);
-              staged;
-              budget_left = 0;
-            }
+    let n = Network.n_inputs net in
+    let lg = Layout.log2 n in
+    Some
+      {
+        net;
+        n;
+        lg;
+        nv = n + Layout.wires lg;
+        plen = 2 * lg;
+        budget = 16 * ((2 * lg) - 1);
+        staged = None;
+        budget_left = 0;
+        descended = false;
+      }
   end
 
 let path_length t = t.plen
 
-(* is there a live u -> v switch?  CSR scan of u's out-slots; Benes has no
-   parallel edges but scanning all slots keeps this correct regardless *)
-let rec live_edge_from out_dst out_eid edge_ok v i stop =
-  i < stop
-  && ((out_dst.(i) = v && edge_ok out_eid.(i))
-     || live_edge_from out_dst out_eid edge_ok v (i + 1) stop)
+let descended t = t.descended
 
-(* Descend the block tree.  A request entering a Split at wire [r] bound
-   for wire [o] has exactly two continuations — via the top or the bottom
-   subnetwork — because entry switch r/2 only reaches top_in.(r/2) and
-   bot_in.(r/2), and a sub-route cannot change halves.  Trying both
-   therefore enumerates every i->o path in the graph: exhaustive failure
-   is a true block, no search needed.  Each level writes its own two wire
-   vertices at [lo]/[hi] and checks the two half-entry/exit vertices and
-   the three wire switches it introduces; deeper vertices are checked as
-   the recursion's own endpoints.  All helpers are top-level functions
-   over ints and pre-built closures, so the descent allocates nothing. *)
-let rec try_node t ~allowed ~edge_ok out_off out_dst out_eid node r o lo hi buf
-    =
+(* Descend the blocks of Benes.Layout.  A request entering a level-k
+   block (k > 1) at input wire [r] bound for output wire [o] has exactly
+   two continuations — via the top or the bottom half — because entry
+   switch r/2 only reaches the halves' input wires r/2, and a sub-route
+   cannot change halves.  Trying both therefore enumerates every path in
+   the graph: exhaustive failure is a true block, no search needed.  Each
+   level writes its own two wire vertices at [lo]/[hi], checks the two
+   half-entry/exit vertices and their two switches, and records those
+   switches at [lo]/[hi - 1]; deeper vertices are the recursion's own
+   endpoints.  Everything is ints and the caller's closures, so the
+   descent allocates nothing. *)
+let rec try_block t ~allowed ~edge_ok ~k ~ib ~vb ~eb r o lo hi buf ebuf =
   t.budget_left <- t.budget_left - 1;
   if t.budget_left < 0 then raise Budget_exhausted;
-  match node with
-  | Benes.Switch { ins; outs } ->
-      let u = ins.(r) and w = outs.(o) in
-      buf.(lo) <- u;
-      buf.(hi) <- w;
-      live_edge_from out_dst out_eid edge_ok w out_off.(u) out_off.(u + 1)
-  | Benes.Split { ins; outs; top_in; bot_in; top_out; bot_out; top; bot } ->
-      let u = ins.(r) and w = outs.(o) in
-      buf.(lo) <- u;
-      buf.(hi) <- w;
-      try_half t ~allowed ~edge_ok out_off out_dst out_eid top_in top_out top
-        u w r o lo hi buf
-      || try_half t ~allowed ~edge_ok out_off out_dst out_eid bot_in bot_out
-           bot u w r o lo hi buf
+  buf.(lo) <- ib + r;
+  buf.(hi) <- Layout.out_wire ~k ~vb o;
+  if k = 1 then begin
+    let e = Layout.leaf_switch ~eb r o in
+    ebuf.(lo) <- e;
+    edge_ok e
+  end
+  else
+    try_half t ~allowed ~edge_ok ~k ~vb ~eb ~h:0 r o lo hi buf ebuf
+    || try_half t ~allowed ~edge_ok ~k ~vb ~eb ~h:1 r o lo hi buf ebuf
 
-and try_half t ~allowed ~edge_ok out_off out_dst out_eid h_in h_out sub u w r
-    o lo hi buf =
-  let hin = h_in.(r / 2) and hout = h_out.(o / 2) in
-  allowed hin && allowed hout
-  && live_edge_from out_dst out_eid edge_ok hin out_off.(u) out_off.(u + 1)
-  && live_edge_from out_dst out_eid edge_ok w out_off.(hout)
-       out_off.(hout + 1)
-  && try_node t ~allowed ~edge_ok out_off out_dst out_eid sub (r / 2) (o / 2)
-       (lo + 1) (hi - 1) buf
+and try_half t ~allowed ~edge_ok ~k ~vb ~eb ~h r o lo hi buf ebuf =
+  let sub_ib = Layout.half_in ~k ~vb ~h 0 and sub_vb = Layout.sub_vb ~k ~vb ~h in
+  let hin = sub_ib + (r / 2)
+  and hout = Layout.out_wire ~k:(k - 1) ~vb:sub_vb (o / 2) in
+  let e_in = Layout.entry_switch ~eb ~h r
+  and e_out = Layout.exit_switch ~k ~eb ~h o in
+  allowed hin && allowed hout && edge_ok e_in && edge_ok e_out
+  && begin
+       ebuf.(lo) <- e_in;
+       ebuf.(hi - 1) <- e_out;
+       try_block t ~allowed ~edge_ok ~k:(k - 1) ~ib:sub_ib ~vb:sub_vb
+         ~eb:(Layout.sub_eb ~k ~eb ~h) (r / 2) (o / 2) (lo + 1) (hi - 1) buf
+         ebuf
+     end
 
-let route_into t ~allowed ~edge_ok ~src ~dst ~buf =
-  let nv = Array.length t.in_idx in
-  if src < 0 || src >= nv || dst < 0 || dst >= nv then
+let staged t =
+  match t.staged with
+  | Some s -> s
+  | None -> (
+      (* a Beneš is strictly staged, so this cannot fail on a network
+         [create] accepted *)
+      match Staged_route.create t.net with
+      | Some s ->
+          t.staged <- Some s;
+          s
+      | None -> invalid_arg "Loop_route: Beneš is not strictly staged")
+
+let fallback t ~allowed ~edge_ok ~src ~dst ~buf =
+  Counter.incr c_fallback;
+  Staged_route.route_into (staged t) ~allowed ~edge_ok ~src ~dst ~buf
+
+let route_into t ~allowed ~edge_ok ~src ~dst ~buf ~ebuf =
+  if src < 0 || src >= t.nv || dst < 0 || dst >= t.nv then
     invalid_arg "Loop_route.route_into: vertex out of range";
-  if Array.length buf < max t.plen 1 then
+  if Array.length buf < max t.plen 1 || Array.length ebuf < t.plen - 1 then
     invalid_arg "Loop_route.route_into: buffer too small";
+  t.descended <- false;
   if src = dst then begin
     buf.(0) <- src;
     1
   end
   else begin
-    let r = t.in_idx.(src) and o = t.out_idx.(dst) in
-    if r < 0 || o < 0 then
-      (* not an input->output request: the block tree says nothing, so
+    let out_base = t.nv - t.n in
+    if src >= t.n || dst < out_base then
+      (* not an input->output request: the layout says nothing, so
          answer with the exact staged search *)
-      Staged_route.route_into t.staged ~allowed ~edge_ok ~src ~dst ~buf
+      fallback t ~allowed ~edge_ok ~src ~dst ~buf
     else begin
       t.budget_left <- t.budget;
       match
-        try_node t ~allowed ~edge_ok
-          (Digraph.Csr.out_off t.g)
-          (Digraph.Csr.out_dst t.g)
-          (Digraph.Csr.out_eid t.g)
-          t.root r o 0 (t.plen - 1) buf
+        try_block t ~allowed ~edge_ok ~k:t.lg ~ib:0 ~vb:t.n ~eb:0 src
+          (dst - out_base) 0 (t.plen - 1) buf ebuf
       with
-      | true -> t.plen
+      | true ->
+          t.descended <- true;
+          t.plen
       | false -> -1
       | exception Budget_exhausted ->
-          Staged_route.route_into t.staged ~allowed ~edge_ok ~src ~dst ~buf
+          fallback t ~allowed ~edge_ok ~src ~dst ~buf
     end
   end

@@ -108,6 +108,7 @@ type t = {
   idle_out : pool;
   conn : Dyn_conn.t;
   route_buf : int array;
+  route_ebuf : int array;  (* the switches of route_buf's hops *)
   latency : Histogram.t;  (* per-decision wall nanoseconds *)
   (* hot float scalars, unboxed: 0 = now, 1 = area (∫ live dt) *)
   fs : float array;
@@ -179,6 +180,7 @@ let create ?(engine = `Bfs) ?(holding = Dist.Exponential) ?(mtbf = infinity)
       idle_out = pool_create (Network.n_outputs net);
       conn = Dyn_conn.create ~terminals:(Network.terminals net) g;
       route_buf = Array.make n 0;
+      route_ebuf = Array.make n 0;
       latency = Histogram.create ();
       fs = Array.make 2 0.0;
       offered = 0;
@@ -283,28 +285,13 @@ let slot_edges st slot len =
     p'
   end
 
-(* first normal parallel edge in CSR order: the deterministic choice of
-   which switch a hop occupies (same rule as Traffic) *)
-let edges_of_slot st slot =
-  let g = st.net.Network.graph in
-  let plen = st.calls.c_plen.(slot) in
-  let path = st.calls.c_path.(slot) in
-  let edges = slot_edges st slot (max (plen - 1) 0) in
-  for i = 0 to plen - 2 do
-    let u = path.(i) and v = path.(i + 1) in
-    let e = ref (-1) in
-    Digraph.iter_out g u (fun ~dst ~eid ->
-        if !e < 0 && dst = v && is_normal st.fstate.(eid) then e := eid);
-    if !e < 0 then invalid_arg "Engine: path hop has no normal switch";
-    edges.(i) <- !e
-  done
-
 let adopt_buf st slot ~len =
   let s = st.calls in
   let p = slot_path st slot len in
   Array.blit st.route_buf 0 p 0 len;
   s.c_plen.(slot) <- len;
-  edges_of_slot st slot;
+  let hops = max (len - 1) 0 in
+  Array.blit st.route_ebuf 0 (slot_edges st slot hops) 0 hops;
   for i = 0 to len - 1 do
     st.owner.(p.(i)) <- slot
   done;
@@ -359,7 +346,8 @@ let sever st e ~u ~v =
       let input = st.net.Network.inputs.(st.calls.c_in.(slot))
       and output = st.net.Network.outputs.(st.calls.c_out.(slot)) in
       let len =
-        Greedy.route_into st.router ~input ~output ~buf:st.route_buf
+        Greedy.route_into_edges st.router ~input ~output ~buf:st.route_buf
+          ~ebuf:st.route_ebuf
       in
       if len >= 0 then begin
         (* same slot, same stamp: the pending hangup stays valid *)
@@ -514,7 +502,8 @@ let decide_call st ~id ~src ~dst ~hold =
           let input = st.net.Network.inputs.(i)
           and output = st.net.Network.outputs.(o) in
           let len =
-            Greedy.route_into st.router ~input ~output ~buf:st.route_buf
+            Greedy.route_into_edges st.router ~input ~output
+              ~buf:st.route_buf ~ebuf:st.route_ebuf
           in
           if len < 0 then block Proto.No_path false
           else begin

@@ -7,10 +7,11 @@
     callback, while per-switch failure/repair clocks keep firing in
     virtual time between requests.  The call path reuses the scaled
     engine's machinery — idle-terminal pools, the structure-of-arrays
-    call store with stamp-keyed hangup invalidation, [Greedy.route_into]
-    over fault masks, and incremental Lemma-7 catastrophe detection —
-    so a decision allocates only its protocol strings: steady-state
-    allocation per decision is flat over a 10^8-call soak.
+    call store with stamp-keyed hangup invalidation,
+    [Greedy.route_into_edges] over fault masks, and incremental Lemma-7
+    catastrophe detection — so a decision allocates only its protocol
+    strings: steady-state allocation per decision is flat over a
+    10^8-call soak.
 
     {2 Determinism}
 

@@ -177,6 +177,18 @@ let test_traffic_router_report () =
   Alcotest.(check int) "exit code" 0 code;
   check_contains "traffic loop fallback" out "router: staged"
 
+let test_traffic_single_replication_ci () =
+  (* the fault process fuses terminals during warm-up, so the one
+     replication records no batch and has no interval to report *)
+  let code, out =
+    run
+      "traffic --net benes:4 --load 1 --mtbf 0.1 --mttr 100 --warmup 200 \
+       --calls 100 --trials 1 --seed 3"
+  in
+  Alcotest.(check int) "exit code" 0 code;
+  check_contains "traffic single replication" out
+    "CI undefined (1 replication)"
+
 let test_traffic_sharded () =
   let code, out =
     run
@@ -936,6 +948,8 @@ let () =
           Alcotest.test_case "traffic effective n" `Quick
             test_traffic_effective_n;
           Alcotest.test_case "traffic sharded" `Quick test_traffic_sharded;
+          Alcotest.test_case "traffic single-replication CI" `Quick
+            test_traffic_single_replication_ci;
           Alcotest.test_case "traffic router report" `Quick
             test_traffic_router_report;
           Alcotest.test_case "traffic json effective n" `Quick

@@ -230,6 +230,32 @@ let test_traffic_saturate_degrade () =
       checkb "stop time within horizon" true (t > 0.0 && t < 1000.0)
   | None, None -> ())
 
+(* one horizon-stopped replication records no batches: its blocking
+   interval is undefined (nan, written as JSON null), not [mean, mean];
+   two replications give a real interval *)
+let test_single_replication_ci () =
+  let net = Crossbar.square 4 in
+  let config = Traffic.config ~load:2.0 ~stop:(Traffic.Horizon 200.0) () in
+  let est trials =
+    (Traffic.estimate ~jobs:1 ~trials ~rng:(Rng.create ~seed:4) ~config net)
+      .Traffic.blocking
+  in
+  let one = est 1 in
+  checkb "one replication: ci_low undefined" true
+    (Float.is_nan one.Batch_means.ci_low);
+  checkb "one replication: ci_high undefined" true
+    (Float.is_nan one.Batch_means.ci_high);
+  checkb "one replication: mean defined" true
+    (Float.is_finite one.Batch_means.mean);
+  Alcotest.(check string)
+    "written as null" "null"
+    (Ftcsn_obs.Json.to_string (Ftcsn_obs.Json.Float one.Batch_means.ci_low));
+  let two = est 2 in
+  checkb "two replications: finite interval" true
+    (Float.is_finite two.Batch_means.ci_low
+    && two.Batch_means.ci_low <= two.Batch_means.mean
+    && two.Batch_means.mean <= two.Batch_means.ci_high)
+
 let test_config_validation () =
   let rejects f =
     match f () with
@@ -313,6 +339,8 @@ let () =
           Alcotest.test_case "saturation degradation" `Quick
             test_traffic_saturate_degrade;
           Alcotest.test_case "config validation" `Quick test_config_validation;
+          Alcotest.test_case "single-replication CI is undefined" `Quick
+            test_single_replication_ci;
         ] );
       ("determinism", props);
     ]

@@ -2,13 +2,18 @@
    bit-identity with the fill-based search, Staged_route / Loop_route
    agreement with the BFS oracle on every registry family under random
    fault masks, busy-state accept/block agreement over call sequences,
-   engine fallback resolution, zero-allocation of the DES call path, and
-   fault-free policy-independence of the traffic statistics. *)
+   the looping router's path identity with the block-tree descent and its
+   layout acceptance check, engine fallback resolution, zero-allocation
+   of the DES call path, and fault-free policy-independence of the
+   traffic statistics. *)
 
 module Network = Ftcsn_networks.Network
 module Topology = Ftcsn_networks.Topology
 module Benes = Ftcsn_networks.Benes
 module Crossbar = Ftcsn_networks.Crossbar
+module Cantor = Ftcsn_networks.Cantor
+module Fault = Ftcsn_reliability.Fault
+module Fault_strip = Ftcsn.Fault_strip
 module Digraph = Ftcsn_graph.Digraph
 module Traverse = Ftcsn_graph.Traverse
 module Arena = Ftcsn_graph.Arena
@@ -216,6 +221,283 @@ let busy_sequence engine () =
 let test_busy_sequence_staged () = busy_sequence `Staged ()
 let test_busy_sequence_loop () = busy_sequence `Loop ()
 
+(* ---------- the looping router is path-identical to the block tree ---------- *)
+
+(* The looping router as it was before it switched to layout arithmetic:
+   a descent over [Benes.root]'s block tree that finds each hop's switch
+   by scanning the CSR row, with the same visit budget and the same exact
+   staged fallback.  It is the reference the index-arithmetic descent
+   must reproduce path for path. *)
+module Tree_oracle = struct
+  type t = {
+    g : Digraph.t;
+    root : Benes.node;
+    in_idx : int array;
+    out_idx : int array;
+    plen : int;
+    budget : int;
+    staged : Staged_route.t;
+    mutable budget_left : int;
+  }
+
+  exception Budget_exhausted
+
+  let create b =
+    let net = Benes.network b in
+    let n = Network.n_inputs net in
+    let lg = Benes.Layout.log2 n in
+    let nv = Digraph.vertex_count net.Network.graph in
+    let in_idx = Array.make nv (-1) and out_idx = Array.make nv (-1) in
+    Array.iteri (fun i v -> in_idx.(v) <- i) net.Network.inputs;
+    Array.iteri (fun i v -> out_idx.(v) <- i) net.Network.outputs;
+    {
+      g = net.Network.graph;
+      root = Benes.root b;
+      in_idx;
+      out_idx;
+      plen = 2 * lg;
+      budget = 16 * ((2 * lg) - 1);
+      staged = Option.get (Staged_route.create net);
+      budget_left = 0;
+    }
+
+  (* the first live u -> v switch in CSR order, or -1 *)
+  let live_edge t ~edge_ok u v =
+    let off = Digraph.Csr.out_off t.g
+    and dst = Digraph.Csr.out_dst t.g
+    and eid = Digraph.Csr.out_eid t.g in
+    let rec go i =
+      if i >= off.(u + 1) then -1
+      else if dst.(i) = v && edge_ok eid.(i) then eid.(i)
+      else go (i + 1)
+    in
+    go off.(u)
+
+  let rec try_node t ~allowed ~edge_ok node r o lo hi buf ebuf =
+    t.budget_left <- t.budget_left - 1;
+    if t.budget_left < 0 then raise Budget_exhausted;
+    match node with
+    | Benes.Switch { ins; outs } ->
+        buf.(lo) <- ins.(r);
+        buf.(hi) <- outs.(o);
+        ebuf.(lo) <- live_edge t ~edge_ok ins.(r) outs.(o);
+        ebuf.(lo) >= 0
+    | Benes.Split { ins; outs; top_in; bot_in; top_out; bot_out; top; bot } ->
+        buf.(lo) <- ins.(r);
+        buf.(hi) <- outs.(o);
+        try_half t ~allowed ~edge_ok top_in top_out top r o lo hi buf ebuf
+        || try_half t ~allowed ~edge_ok bot_in bot_out bot r o lo hi buf ebuf
+
+  and try_half t ~allowed ~edge_ok h_in h_out sub r o lo hi buf ebuf =
+    let hin = h_in.(r / 2) and hout = h_out.(o / 2) in
+    allowed hin && allowed hout
+    &&
+    let e_in = live_edge t ~edge_ok buf.(lo) hin
+    and e_out = live_edge t ~edge_ok hout buf.(hi) in
+    e_in >= 0 && e_out >= 0
+    && begin
+         ebuf.(lo) <- e_in;
+         ebuf.(hi - 1) <- e_out;
+         try_node t ~allowed ~edge_ok sub (r / 2) (o / 2) (lo + 1) (hi - 1)
+           buf ebuf
+       end
+
+  (* path length or -1, and whether the descent (not the fallback) found
+     it, in which case [ebuf] holds its switches *)
+  let route_into t ~allowed ~edge_ok ~src ~dst ~buf ~ebuf =
+    let r = t.in_idx.(src) and o = t.out_idx.(dst) in
+    let fallback () =
+      (Staged_route.route_into t.staged ~allowed ~edge_ok ~src ~dst ~buf, false)
+    in
+    if src = dst then begin
+      buf.(0) <- src;
+      (1, true)
+    end
+    else if r < 0 || o < 0 then fallback ()
+    else begin
+      t.budget_left <- t.budget;
+      match
+        try_node t ~allowed ~edge_ok t.root r o 0 (t.plen - 1) buf ebuf
+      with
+      | true -> (t.plen, true)
+      | false -> (-1, true)
+      | exception Budget_exhausted -> fallback ()
+    end
+end
+
+let c_fallback = Metrics.counter Metrics.default "loop_route.fallback"
+
+(* the switches a call occupies by the CSR "first normal edge" rule *)
+let csr_edges g ~edge_ok buf len =
+  Array.init (max (len - 1) 0) (fun i ->
+      let e = ref (-1) in
+      Digraph.iter_out g buf.(i) (fun ~dst ~eid ->
+          if !e < 0 && dst = buf.(i + 1) && edge_ok eid then e := eid);
+      !e)
+
+(* Route [src -> dst] with the [`Loop] router and the tree oracle over
+   the same fault mask and busy set; they must agree on the verdict, the
+   length, every vertex and every switch.  Returns whether the looping
+   router fell back to the staged search. *)
+let same_as_oracle ~what oracle r ~g ~allowed ~edge_ok ~src ~dst =
+  let nv = Digraph.vertex_count g in
+  let buf = Array.make nv 0 and ebuf = Array.make nv 0 in
+  let obuf = Array.make nv 0 and oebuf = Array.make nv 0 in
+  let allowed' v = allowed v && not (Greedy.busy r v) in
+  let olen, descended =
+    Tree_oracle.route_into oracle ~allowed:allowed' ~edge_ok ~src ~dst
+      ~buf:obuf ~ebuf:oebuf
+  in
+  let f0 = Counter.get c_fallback in
+  let len = Greedy.route_into_edges r ~input:src ~output:dst ~buf ~ebuf in
+  let fell_back = Counter.get c_fallback > f0 in
+  let agree = ref (len = olen && fell_back = not descended) in
+  if len > 0 then begin
+    Greedy.release_buf r buf ~len;
+    let oedges =
+      if descended then Array.sub oebuf 0 (len - 1)
+      else csr_edges g ~edge_ok obuf len
+    in
+    for i = 0 to len - 1 do
+      if buf.(i) <> obuf.(i) then agree := false
+    done;
+    for i = 0 to len - 2 do
+      if ebuf.(i) <> oedges.(i) then agree := false
+    done
+  end;
+  if not !agree then
+    Alcotest.failf "%s %d->%d: loop (len %d) differs from the tree oracle \
+                    (len %d)" what src dst len olen;
+  fell_back
+
+(* random fault mask, random busy set, random requests — plus one
+   request from an internal wire, which only the fallback answers *)
+let qcheck_tree_identity =
+  QCheck2.Test.make ~count:40
+    ~name:"loop router = block-tree descent (path, edges) on benes:2..512"
+    QCheck2.Gen.(
+      quad (int_range 1 9) (int_range 0 100000) (int_range 0 80)
+        (int_range 0 40))
+    (fun (k, seed, per_mille, busy_pct) ->
+      let b = Benes.make (1 lsl k) in
+      let net = Benes.network b in
+      let g = net.Network.graph in
+      let nv = Digraph.vertex_count g in
+      let n = Network.n_inputs net in
+      let edge_ok = fault_mask ~seed ~per_mille g in
+      let rng = Rng.create ~seed:(seed + 1) in
+      let vbad = Array.init nv (fun _ -> Rng.int rng 1000 < per_mille) in
+      let allowed v = not vbad.(v) in
+      let r = Greedy.create ~allowed ~edge_ok ~engine:`Loop net in
+      let oracle = Tree_oracle.create b in
+      let busy = Array.init nv (fun v -> v) in
+      Rng.shuffle_in_place rng busy;
+      Greedy.occupy_buf r busy ~len:(nv * busy_pct / 100);
+      let free v = allowed v && not (Greedy.busy r v) in
+      let probe ~src ~dst =
+        if free src && free dst then
+          ignore
+            (same_as_oracle ~what:(Printf.sprintf "benes:%d" n) oracle r ~g
+               ~allowed ~edge_ok ~src ~dst)
+      in
+      for _ = 1 to 60 do
+        probe
+          ~src:net.Network.inputs.(Rng.int rng n)
+          ~dst:net.Network.outputs.(Rng.int rng n)
+      done;
+      probe ~src:(n + Rng.int rng n) ~dst:net.Network.outputs.(Rng.int rng n);
+      true)
+
+(* The two fallback kinds, forced: (1) on benes:512 every level-1 switch
+   is dead except in the all-bottom block, so input 0 -> output 0 has one
+   live path, the last the top-first descent would try, and the budget
+   runs out first; (2) a request from an internal wire.  Both paths get
+   their switches from the CSR rule. *)
+let test_fallback_edges () =
+  let b = Benes.make 512 in
+  let net = Benes.network b in
+  let g = net.Network.graph in
+  let dead = Array.make (Digraph.edge_count g) false in
+  let rec mark_leaves ~keep = function
+    | Benes.Switch { ins; outs } ->
+        if not keep then
+          Array.iter
+            (fun u ->
+              Digraph.iter_out g u (fun ~dst ~eid ->
+                  if Array.mem dst outs then dead.(eid) <- true))
+            ins
+    | Benes.Split { top; bot; _ } ->
+        mark_leaves ~keep:false top;
+        mark_leaves ~keep bot
+  in
+  mark_leaves ~keep:true (Benes.root b);
+  let edge_ok e = not dead.(e) in
+  let r = Greedy.create ~edge_ok ~engine:`Loop net in
+  let oracle = Tree_oracle.create b in
+  let same ~src ~dst =
+    same_as_oracle ~what:"forced fallback" oracle r ~g
+      ~allowed:(fun _ -> true) ~edge_ok ~src ~dst
+  in
+  let buf = Array.make (Digraph.vertex_count g) 0 in
+  check "the one live path is found" 18
+    (Greedy.route_into r ~input:net.Network.inputs.(0)
+       ~output:net.Network.outputs.(0) ~buf);
+  Greedy.release_buf r buf ~len:18;
+  checkb "budget fallback fired" true
+    (same ~src:net.Network.inputs.(0) ~dst:net.Network.outputs.(0));
+  (* the bottom half's input wire 0, whose one live path to output 0 is
+     the same all-bottom one *)
+  let src = Benes.Layout.half_in ~k:9 ~vb:512 ~h:1 0 in
+  check "the internal wire still routes" 17
+    (Greedy.route_into r ~input:src ~output:net.Network.outputs.(0) ~buf);
+  Greedy.release_buf r buf ~len:17;
+  checkb "internal-wire request fell back" true
+    (same ~src ~dst:net.Network.outputs.(0))
+
+(* ---------- the looping router accepts exactly the Beneš layout ---------- *)
+
+let edges_of g = Array.init (Digraph.edge_count g) (Digraph.edge_endpoints g)
+
+let with_edges net edges =
+  let n = Digraph.vertex_count net.Network.graph in
+  { net with Network.graph = Digraph.of_edges ~n edges }
+
+let accepted net = Loop_route.create net <> None
+
+let test_layout_acceptance () =
+  List.iter
+    (fun k ->
+      let n = 1 lsl k in
+      checkb (Printf.sprintf "benes:%d accepted" n) true
+        (accepted (Benes.create n)))
+    [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10; 11; 12 ];
+  let net = Benes.create 16 in
+  let g = net.Network.graph in
+  checks "a renamed Beneš still routes by looping" "loop"
+    (Greedy.engine_name
+       (Greedy.create ~engine:`Loop { net with Network.name = "fabric" }));
+  checkb "identical edge list accepted" true (accepted (with_edges net (edges_of g)));
+  let retargeted = edges_of g in
+  let src, dst = retargeted.(37) in
+  retargeted.(37) <- (src, (dst + 1) mod Digraph.vertex_count g);
+  checkb "one edge retargeted" false (accepted (with_edges net retargeted));
+  let swapped = edges_of g in
+  let e41 = swapped.(41) in
+  swapped.(41) <- swapped.(90);
+  swapped.(90) <- e41;
+  checkb "two edges swapped" false (accepted (with_edges net swapped));
+  let pattern = Array.make (Digraph.edge_count g) Fault.Normal in
+  pattern.(5) <- Fault.Open_failure;
+  let stripped =
+    Fault_strip.surviving_network net (Fault_strip.strip net pattern)
+  in
+  checks "the stripped copy keeps its name" net.Network.name
+    stripped.Network.name;
+  checkb "Fault_strip copy" false (accepted stripped);
+  checkb "reversed Beneš" false (accepted (Network.reverse net));
+  checkb "Cantor" false (accepted (Cantor.make 16));
+  checkb "crossbar" false (accepted (Crossbar.square 16))
+
 (* ---------- engine fallback resolution ---------- *)
 
 let test_engine_fallbacks () =
@@ -266,20 +548,26 @@ let alloc_free engine () =
   let nv = Digraph.vertex_count g in
   let edge_ok = fault_mask ~seed:31 ~per_mille:10 g in
   let r = Greedy.create ~edge_ok ~engine net in
-  let buf = Array.make nv 0 in
+  let buf = Array.make nv 0 and ebuf = Array.make nv 0 in
   let n_in = Network.n_inputs net in
   let rng = Rng.create ~seed:32 in
   let srcs = Array.init 64 (fun _ -> net.Network.inputs.(Rng.int rng n_in)) in
   let dsts = Array.init 64 (fun _ -> net.Network.outputs.(Rng.int rng n_in)) in
+  (* half the routes hand out their switches too *)
+  let route k =
+    if k land 1 = 0 then
+      Greedy.route_into r ~input:srcs.(k) ~output:dsts.(k) ~buf
+    else Greedy.route_into_edges r ~input:srcs.(k) ~output:dsts.(k) ~buf ~ebuf
+  in
   (* one warm-up pass so lazy one-time costs don't bill the measured loop *)
   for k = 0 to 63 do
-    let len = Greedy.route_into r ~input:srcs.(k) ~output:dsts.(k) ~buf in
+    let len = route k in
     if len >= 0 then Greedy.release_buf r buf ~len
   done;
   let s0 = Counter.get c_search in
   let w0 = Gc.minor_words () in
   for k = 0 to 63 do
-    let len = Greedy.route_into r ~input:srcs.(k) ~output:dsts.(k) ~buf in
+    let len = route k in
     if len >= 0 then Greedy.release_buf r buf ~len
   done;
   let w1 = Gc.minor_words () in
@@ -381,6 +669,10 @@ let () =
           Alcotest.test_case "loop agrees along busy sequences" `Quick
             test_busy_sequence_loop;
           Alcotest.test_case "fallback resolution" `Quick test_engine_fallbacks;
+          Alcotest.test_case "loop fallbacks hand out CSR-rule switches"
+            `Quick test_fallback_edges;
+          Alcotest.test_case "loop accepts exactly the Beneš layout" `Quick
+            test_layout_acceptance;
         ] );
       ( "allocation",
         [
@@ -399,5 +691,6 @@ let () =
             test_router_name;
         ] );
       ( "qcheck",
-        List.map QCheck_alcotest.to_alcotest [ qcheck_mask_agreement ] );
+        List.map QCheck_alcotest.to_alcotest
+          [ qcheck_mask_agreement; qcheck_tree_identity ] );
     ]

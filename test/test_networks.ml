@@ -225,6 +225,63 @@ let test_benes_route_arity () =
   Alcotest.check_raises "arity" (Invalid_argument "Benes.route: arity")
     (fun () -> ignore (Benes.route b [| 0 |]))
 
+(* The closed-form layout must name exactly the vertices [make] put in
+   its block tree, and the switches between them. *)
+let test_benes_layout_matches_tree () =
+  let module L = Benes.Layout in
+  List.iter
+    (fun n ->
+      let b = Benes.make n in
+      let g = (Benes.network b).Network.graph in
+      let edge_is what e ~src ~dst =
+        check (Printf.sprintf "n=%d %s src" n what) src (Digraph.edge_src g e);
+        check (Printf.sprintf "n=%d %s dst" n what) dst (Digraph.edge_dst g e)
+      in
+      let rec walk node ~k ~ib ~vb ~eb =
+        let ins, outs =
+          match node with
+          | Benes.Switch { ins; outs } -> (ins, outs)
+          | Benes.Split { ins; outs; _ } -> (ins, outs)
+        in
+        let w = 1 lsl k in
+        check "block width" w (Array.length ins);
+        Array.iteri (fun r v -> check "input wire" (ib + r) v) ins;
+        Array.iteri (fun j v -> check "output wire" (L.out_wire ~k ~vb j) v) outs;
+        match node with
+        | Benes.Switch _ ->
+            for r = 0 to 1 do
+              for o = 0 to 1 do
+                edge_is "leaf switch" (L.leaf_switch ~eb r o) ~src:ins.(r)
+                  ~dst:outs.(o)
+              done
+            done
+        | Benes.Split { top_in; bot_in; top_out; bot_out; top; bot; _ } ->
+            List.iter
+              (fun (h, h_in, h_out, sub) ->
+                let sub_vb = L.sub_vb ~k ~vb ~h in
+                Array.iteri
+                  (fun i v -> check "half input" (L.half_in ~k ~vb ~h i) v)
+                  h_in;
+                Array.iteri
+                  (fun i v ->
+                    check "half output" (L.out_wire ~k:(k - 1) ~vb:sub_vb i) v)
+                  h_out;
+                for r = 0 to w - 1 do
+                  edge_is "entry switch" (L.entry_switch ~eb ~h r) ~src:ins.(r)
+                    ~dst:h_in.(r / 2);
+                  edge_is "exit switch" (L.exit_switch ~k ~eb ~h r)
+                    ~src:h_out.(r / 2) ~dst:outs.(r)
+                done;
+                walk sub ~k:(k - 1) ~ib:h_in.(0) ~vb:sub_vb
+                  ~eb:(L.sub_eb ~k ~eb ~h))
+              [ (0, top_in, top_out, top); (1, bot_in, bot_out, bot) ]
+      in
+      let k = log2_exact n in
+      walk (Benes.root b) ~k ~ib:0 ~vb:n ~eb:0;
+      check "vertex count" (n + L.wires k) (Digraph.vertex_count g);
+      check "edge count" (L.switches k) (Digraph.edge_count g))
+    [ 2; 4; 8; 16; 32; 64; 128; 256; 512; 1024 ]
+
 (* ---------- Butterfly ---------- *)
 
 let test_butterfly_counts () =
@@ -796,6 +853,8 @@ let () =
           Alcotest.test_case "structured perms" `Quick
             test_benes_routes_structured_perms;
           Alcotest.test_case "route arity" `Quick test_benes_route_arity;
+          Alcotest.test_case "layout = block tree (n <= 1024)" `Quick
+            test_benes_layout_matches_tree;
         ] );
       ( "butterfly",
         [
