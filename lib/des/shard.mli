@@ -7,8 +7,8 @@
     on edges of disjoint level blocks never interact except through
     live calls, so the sharded engine ({!Traffic} with [shards > 1])
     gives each contiguous block of levels its own event heap, RNG
-    stream and scratch buffers, and only escalates an event to the
-    global control heap when it can touch shared state.
+    stream, fault clocks and scratch buffers, and only escalates an
+    event to the global control heap when it can touch shared state.
 
     Shard ids are bytes: at most 255 shards, stored as one byte per
     edge in a [Bytes.t] of length [edge_count]. *)

@@ -1,6 +1,5 @@
 module Network = Ftcsn_networks.Network
 module Digraph = Ftcsn_graph.Digraph
-module Fault = Ftcsn_reliability.Fault
 module Dyn_conn = Ftcsn_reliability.Dyn_conn
 module Greedy = Ftcsn_routing.Greedy
 module Backtrack = Ftcsn_routing.Backtrack
@@ -99,13 +98,15 @@ type stats = {
 
 (* Events are unboxed ints: [(arg lsl 2) lor tag].  Tag 0 = Arrival
    (arg 0), 1 = Hangup (arg = stamp * cap + slot, see the call store),
-   2 = Fail e, 3 = Repair e.  Pushing an immediate int onto the heap
-   allocates nothing, and the [(time, push-seq)] determinism contract
-   only cares about push order, which is unchanged from the variant
-   encoding this replaced. *)
+   2 = Fail e (unsharded) or the fault clock of shard k (sharded),
+   3 = Repair e.  Pushing an immediate int onto the heap allocates
+   nothing, and the [(time, push-seq)] determinism contract only cares
+   about push order, which is unchanged from the variant encoding this
+   replaced. *)
 let ev_arrival = 0
 let ev_hangup key = (key lsl 2) lor 1
 let ev_fail e = (e lsl 2) lor 2
+let ev_tick k = (k lsl 2) lor 2
 let ev_repair e = (e lsl 2) lor 3
 
 (* idle-terminal index pool: [items] is always a permutation of [0, n)
@@ -185,20 +186,22 @@ let store_create cap =
   }
 
 (* One event shard: a contiguous block of topological edge levels with
-   its own heap, PRNG stream and scratch buffers.  During a drain the
-   shard touches only its own fields, the [fstate] entries of its own
-   edges, and (read-only) the frozen [owner] array; everything that
-   crosses shard boundaries — faulty-degree updates, closed failures,
-   severs — is buffered here and applied at window commit. *)
+   its own heap, PRNG stream and scratch buffers.  Its switches share two
+   thinned fault clocks of rate [rate] each: the open one on [sheap],
+   the closed one on the control heap (see [drain_shard] and
+   [handle_closed_tick]).  During a drain the shard touches only its own
+   fields, the switch bytes of its own edges, and (read-only) the frozen
+   [owner] array; everything that crosses shard boundaries —
+   faulty-degree updates and severs — is buffered here and applied at
+   window commit. *)
 type shard_st = {
   sheap : int Heap.t;
   srng : Rng.t;
+  switches : int array;  (* the shard's edge ids, ascending *)
+  rate : float;  (* |switches| / (2 mtbf): each clock's rate *)
   mutable esc_t : float array;  (* severs to run at commit: times *)
   mutable esc_e : int array;  (* ... and failed-edge ids *)
   mutable esc_len : int;
-  mutable ctl_t : float array;  (* closed failures bound for control *)
-  mutable ctl_ev : int array;
-  mutable ctl_len : int;
   mutable deg_v : int array;  (* (v lsl 1) lor (1 = decrement) *)
   mutable deg_len : int;
   mutable s_failures : int;
@@ -212,9 +215,7 @@ type state = {
   crng : Rng.t;  (* the trial stream (shards = 1) or its control substream *)
   heap : int Heap.t;  (* control heap; the only heap when shards = 1 *)
   router : Greedy.t;
-  fstate : Fault.state array;
-  faulty_deg : int array;  (* failed edges incident to each vertex *)
-  is_terminal : bool array;
+  mask : Fault_mask.t;
   owner : int array;  (* vertex -> slot of the call whose path holds it *)
   calls : store;
   mutable next_id : int;
@@ -235,6 +236,7 @@ type state = {
   mutable rerouted : int;
   mutable rearranged : int;
   mutable failures : int;
+  mutable closed_failures : int;
   mutable repairs : int;
   mutable events : int;
   mutable max_concurrent : int;
@@ -247,24 +249,30 @@ type state = {
   mutable catastrophe_at : float option;
   mutable stopped : bool;
   shs : shard_st array;  (* [||] when cfg.shards = 1 *)
-  eshard : Bytes.t;  (* edge -> shard id; empty when unsharded *)
   esc_idx : int array;  (* k-way merge cursors, one per shard *)
 }
 
-let is_normal s = Fault.state_equal s Fault.Normal
+(* each shard's switch ids, ascending: one counting sort over [eshard] *)
+let shard_switches eshard ~shards =
+  let m = Bytes.length eshard in
+  let count = Array.make shards 0 in
+  for e = 0 to m - 1 do
+    let k = Shard.shard_of eshard e in
+    count.(k) <- count.(k) + 1
+  done;
+  let sw = Array.map (fun c -> Array.make c 0) count in
+  Array.fill count 0 shards 0;
+  for e = 0 to m - 1 do
+    let k = Shard.shard_of eshard e in
+    sw.(k).(count.(k)) <- e;
+    count.(k) <- count.(k) + 1
+  done;
+  sw
 
 let init ~rng ~cfg net =
   let g = net.Network.graph in
-  let n = Digraph.vertex_count g and m = Digraph.edge_count g in
-  let is_terminal = Array.make n false in
-  List.iter (fun v -> is_terminal.(v) <- true) (Network.terminals net);
-  let fstate = Array.make m Fault.Normal in
-  let faulty_deg = Array.make n 0 in
-  (* terminals stay routable with faulty incident switches (the switches
-     themselves are unusable via edge_ok); internal vertices are stripped
-     once faulty, mirroring Fault_strip and Ft_session *)
-  let allowed v = is_terminal.(v) || faulty_deg.(v) = 0 in
-  let edge_ok e = is_normal fstate.(e) in
+  let n = Digraph.vertex_count g in
+  let mask = Fault_mask.create net in
   let sharded = cfg.shards > 1 in
   (* substreams are derived without advancing [rng], so the unsharded
      engine — which consumes [rng] directly — is untouched by this *)
@@ -272,25 +280,24 @@ let init ~rng ~cfg net =
   let shards =
     if not sharded then [||]
     else
-      Array.init cfg.shards (fun k ->
+      let eshard = Shard.partition net ~shards:cfg.shards in
+      Array.mapi
+        (fun k switches ->
           {
             sheap = Heap.create ~dummy:0 ();
             srng = Rng.substream rng (k + 1);
+            switches;
+            rate = float_of_int (Array.length switches) /. (2.0 *. cfg.mtbf);
             esc_t = [||];
             esc_e = [||];
             esc_len = 0;
-            ctl_t = [||];
-            ctl_ev = [||];
-            ctl_len = 0;
             deg_v = [||];
             deg_len = 0;
             s_failures = 0;
             s_repairs = 0;
             s_events = 0;
           })
-  in
-  let eshard =
-    if sharded then Shard.partition net ~shards:cfg.shards else Bytes.empty
+        (shard_switches eshard ~shards:cfg.shards)
   in
   {
     net;
@@ -298,11 +305,10 @@ let init ~rng ~cfg net =
     crng;
     heap = Heap.create ~dummy:0 ();
     router =
-      Greedy.create ~allowed ~edge_ok ~engine:(engine_of_policy cfg.policy)
-        net;
-    fstate;
-    faulty_deg;
-    is_terminal;
+      Greedy.create ~allowed:(Fault_mask.allowed mask)
+        ~edge_ok:(Fault_mask.edge_ok mask)
+        ~engine:(engine_of_policy cfg.policy) net;
+    mask;
     owner = Array.make n (-1);
     calls = store_create (min (Network.n_inputs net) (Network.n_outputs net));
     next_id = 0;
@@ -320,6 +326,7 @@ let init ~rng ~cfg net =
     rerouted = 0;
     rearranged = 0;
     failures = 0;
+    closed_failures = 0;
     repairs = 0;
     events = 0;
     max_concurrent = 0;
@@ -336,7 +343,6 @@ let init ~rng ~cfg net =
     catastrophe_at = None;
     stopped = false;
     shs = shards;
-    eshard;
     esc_idx = Array.make (max cfg.shards 1) 0;
   }
 
@@ -506,9 +512,10 @@ let try_rearrange st ~budget ~i ~o =
     List.map (fun sl -> (inputs.(s.c_in.(sl)), outputs.(s.c_out.(sl)))) live
     @ [ (inputs.(i), outputs.(o)) ]
   in
-  let allowed v = st.is_terminal.(v) || st.faulty_deg.(v) = 0 in
-  let edge_ok e = is_normal st.fstate.(e) in
-  match Backtrack.route_all ~budget ~allowed ~edge_ok st.net reqs with
+  match
+    Backtrack.route_all ~budget ~allowed:(Fault_mask.allowed st.mask)
+      ~edge_ok:(Fault_mask.edge_ok st.mask) st.net reqs
+  with
   | Backtrack.Unroutable | Backtrack.Budget_exceeded -> false
   | Backtrack.Routed paths ->
       List.iter
@@ -659,12 +666,10 @@ let handle_fail st e =
     schedule st
       (Dist.exponential st.crng ~rate:(1.0 /. st.cfg.mttr))
       (ev_repair e);
-  st.fstate.(e) <-
-    (if closed then Fault.Closed_failure else Fault.Open_failure);
+  Fault_mask.fail st.mask e ~closed;
   let u, v = Digraph.edge_endpoints st.net.Network.graph e in
-  st.faulty_deg.(u) <- st.faulty_deg.(u) + 1;
-  if v <> u then st.faulty_deg.(v) <- st.faulty_deg.(v) + 1;
   if closed then begin
+    st.closed_failures <- st.closed_failures + 1;
     (* two terminals in one closed-contraction class is the Lemma 7
        catastrophe; Dyn_conn maintains the verdict incrementally *)
     Dyn_conn.close st.conn e;
@@ -675,46 +680,48 @@ let handle_fail st e =
 
 let handle_repair st e =
   st.repairs <- st.repairs + 1;
-  if Fault.state_equal st.fstate.(e) Fault.Closed_failure then
-    Dyn_conn.reopen st.conn e;
-  st.fstate.(e) <- Fault.Normal;
-  let u, v = Digraph.edge_endpoints st.net.Network.graph e in
-  st.faulty_deg.(u) <- st.faulty_deg.(u) - 1;
-  if v <> u then st.faulty_deg.(v) <- st.faulty_deg.(v) - 1;
+  if Fault_mask.is_closed st.mask e then Dyn_conn.reopen st.conn e;
+  Fault_mask.repair st.mask e;
   (* back in service with a fresh failure clock *)
   schedule st (Dist.exponential st.crng ~rate:(1.0 /. st.cfg.mtbf)) (ev_fail e)
 
-(* sharded failure/repair: the coin is pre-drawn when the failure is
-   scheduled, which routes closed failures (the only kind that touches
-   global connectivity) to the control heap and leaves open failures
-   shard-local *)
-let handle_fail_closed st e =
-  st.failures <- st.failures + 1;
-  let sh = st.shs.(Shard.shard_of st.eshard e) in
-  if st.cfg.mttr < infinity then
-    schedule st
-      (Dist.exponential sh.srng ~rate:(1.0 /. st.cfg.mttr))
-      (ev_repair e);
-  st.fstate.(e) <- Fault.Closed_failure;
-  let u, v = Digraph.edge_endpoints st.net.Network.graph e in
-  st.faulty_deg.(u) <- st.faulty_deg.(u) + 1;
-  if v <> u then st.faulty_deg.(v) <- st.faulty_deg.(v) + 1;
-  Dyn_conn.close st.conn e;
-  if Dyn_conn.terminals_shorted st.conn then note_catastrophe st
-  else sever st e ~u ~v
+(* Sharded fault process: each shard's switches share two competing
+   exponential clocks of rate M_k/(2 mtbf), the open one on the shard
+   heap and the closed one on the control heap.  A firing picks one of
+   the shard's switches uniformly; if that switch is already failed the
+   firing is thinned — no state change, not counted as an event — and
+   the clock re-arms either way.  Every normal switch therefore fails at
+   rate 1/mtbf with a fair open/closed coin, exactly as under per-switch
+   clocks, while the heaps hold O(shards + live calls + pending repairs)
+   entries instead of one clock per switch.  A repair draws nothing:
+   the shard clocks already cover the repaired switch. *)
+let handle_closed_tick st k =
+  let sh = st.shs.(k) in
+  (* draws from the shard's stream, between drains, in fixed order: the
+     switch pick, (if it fails) the repair delay, the next tick *)
+  let e = sh.switches.(Rng.int sh.srng (Array.length sh.switches)) in
+  if Fault_mask.is_normal st.mask e then begin
+    st.events <- st.events + 1;
+    st.failures <- st.failures + 1;
+    st.closed_failures <- st.closed_failures + 1;
+    if st.cfg.mttr < infinity then
+      schedule st
+        (Dist.exponential sh.srng ~rate:(1.0 /. st.cfg.mttr))
+        (ev_repair e);
+    Fault_mask.fail st.mask e ~closed:true;
+    Dyn_conn.close st.conn e;
+    if Dyn_conn.terminals_shorted st.conn then note_catastrophe st
+    else begin
+      let u, v = Digraph.edge_endpoints st.net.Network.graph e in
+      sever st e ~u ~v
+    end
+  end;
+  schedule st (Dist.exponential sh.srng ~rate:sh.rate) (ev_tick k)
 
 let handle_repair_closed st e =
   st.repairs <- st.repairs + 1;
   Dyn_conn.reopen st.conn e;
-  st.fstate.(e) <- Fault.Normal;
-  let u, v = Digraph.edge_endpoints st.net.Network.graph e in
-  st.faulty_deg.(u) <- st.faulty_deg.(u) - 1;
-  if v <> u then st.faulty_deg.(v) <- st.faulty_deg.(v) - 1;
-  let sh = st.shs.(Shard.shard_of st.eshard e) in
-  let dt = Dist.exponential sh.srng ~rate:(1.0 /. st.cfg.mtbf) in
-  let closed = Rng.bool sh.srng in
-  if closed then Heap.push st.heap ~time:(st.fs.(0) +. dt) (ev_fail e)
-  else Heap.push sh.sheap ~time:(st.fs.(0) +. dt) (ev_fail e)
+  Fault_mask.repair st.mask e
 
 (* shard scratch-buffer appends, grow-once *)
 let grow_f a len = Array.append a (Array.make (max 8 (Array.length a + len)) 0.0)
@@ -729,27 +736,18 @@ let esc_push sh t e =
   sh.esc_e.(sh.esc_len) <- e;
   sh.esc_len <- sh.esc_len + 1
 
-let ctl_push sh t ev =
-  if sh.ctl_len = Array.length sh.ctl_t then begin
-    sh.ctl_t <- grow_f sh.ctl_t sh.ctl_len;
-    sh.ctl_ev <- grow_i sh.ctl_ev sh.ctl_len
-  end;
-  sh.ctl_t.(sh.ctl_len) <- t;
-  sh.ctl_ev.(sh.ctl_len) <- ev;
-  sh.ctl_len <- sh.ctl_len + 1
-
 let deg_push sh v ~dec =
   if sh.deg_len = Array.length sh.deg_v then
     sh.deg_v <- grow_i sh.deg_v sh.deg_len;
   sh.deg_v.(sh.deg_len) <- (v lsl 1) lor (if dec then 1 else 0);
   sh.deg_len <- sh.deg_len + 1
 
-(* Drain shard [k] up to the window end fs.(3): process its open
-   failures and repairs, keeping every cross-shard-visible effect in
-   the shard's buffers.  Safe to run concurrently with the other
-   shards' drains: this touches only the shard's own heap/rng/buffers,
-   the fstate entries of its own edges, and reads the frozen [owner]
-   array.  No global-time or statistics access. *)
+(* Drain shard [k] up to the window end fs.(3): fire its open clock
+   and open repairs, keeping every cross-shard-visible effect in the
+   shard's buffers.  Safe to run concurrently with the other shards'
+   drains: this touches only the shard's own heap/rng/buffers, the
+   switch bytes of its own edges, and reads the frozen [owner] array.
+   No global-time or statistics access. *)
 let drain_shard st k =
   let sh = st.shs.(k) in
   let w = st.fs.(3) in
@@ -761,57 +759,56 @@ let drain_shard st k =
     else begin
       let t = Heap.min_time sh.sheap in
       let ev = Heap.pop sh.sheap in
-      sh.s_events <- sh.s_events + 1;
-      let e = ev lsr 2 in
-      let u, v = Digraph.edge_endpoints g e in
       if ev land 3 = 2 then begin
-        (* open failure *)
-        sh.s_failures <- sh.s_failures + 1;
-        if st.cfg.mttr < infinity then begin
-          let dt = Dist.exponential sh.srng ~rate:(1.0 /. st.cfg.mttr) in
-          Heap.push sh.sheap ~time:(t +. dt) (ev_repair e)
+        (* the open clock: draws, in fixed order, the switch pick, (if
+           it fails) the repair delay, the next tick *)
+        let e = sh.switches.(Rng.int sh.srng (Array.length sh.switches)) in
+        if Fault_mask.is_normal st.mask e then begin
+          sh.s_events <- sh.s_events + 1;
+          sh.s_failures <- sh.s_failures + 1;
+          if st.cfg.mttr < infinity then begin
+            let dt = Dist.exponential sh.srng ~rate:(1.0 /. st.cfg.mttr) in
+            Heap.push sh.sheap ~time:(t +. dt) (ev_repair e)
+          end;
+          Fault_mask.set_failed st.mask e ~closed:false;
+          let u = Digraph.edge_src g e and v = Digraph.edge_dst g e in
+          deg_push sh u ~dec:false;
+          if v <> u then deg_push sh v ~dec:false;
+          (* escalate the sever to commit time only if a live call can
+             be crossing this switch.  [owner] is frozen during the
+             window, and any call placed or rerouted at commit routes
+             over the fully-committed fault mask — so it cannot cross
+             this edge, and no sever is ever missed. *)
+          if st.owner.(u) >= 0 || (v <> u && st.owner.(v) >= 0) then
+            esc_push sh t e
         end;
-        st.fstate.(e) <- Fault.Open_failure;
-        deg_push sh u ~dec:false;
-        if v <> u then deg_push sh v ~dec:false;
-        (* escalate the sever to commit time only if a live call can be
-           crossing this switch.  [owner] is frozen during the window,
-           and any call placed or rerouted at commit routes over the
-           fully-committed fault mask — so it cannot cross this edge,
-           and no sever is ever missed. *)
-        if st.owner.(u) >= 0 || (v <> u && st.owner.(v) >= 0) then
-          esc_push sh t e
+        Heap.push sh.sheap
+          ~time:(t +. Dist.exponential sh.srng ~rate:sh.rate)
+          ev
       end
       else begin
         (* open repair *)
+        sh.s_events <- sh.s_events + 1;
         sh.s_repairs <- sh.s_repairs + 1;
-        st.fstate.(e) <- Fault.Normal;
+        let e = ev lsr 2 in
+        Fault_mask.set_normal st.mask e;
+        let u = Digraph.edge_src g e and v = Digraph.edge_dst g e in
         deg_push sh u ~dec:true;
-        if v <> u then deg_push sh v ~dec:true;
-        (* fresh failure clock: the clock draw, then the coin that
-           decides whether the next failure is control-bound *)
-        let dt = Dist.exponential sh.srng ~rate:(1.0 /. st.cfg.mtbf) in
-        let closed = Rng.bool sh.srng in
-        if closed then ctl_push sh (t +. dt) (ev_fail e)
-        else Heap.push sh.sheap ~time:(t +. dt) (ev_fail e)
+        if v <> u then deg_push sh v ~dec:true
       end
     end
   done
 
 (* Apply everything the drains buffered, in deterministic order:
-   faulty-degree deltas and counters shard by shard, control-bound
-   closed failures shard by shard (heap seq breaks same-time ties by
-   shard id), then the escalated severs merged across shards by
-   (time, shard). *)
+   faulty-degree deltas and counters shard by shard, then the escalated
+   severs merged across shards by (time, shard). *)
 let commit_window st =
   let ns = Array.length st.shs in
   for k = 0 to ns - 1 do
     let sh = st.shs.(k) in
     for j = 0 to sh.deg_len - 1 do
       let enc = sh.deg_v.(j) in
-      let v = enc lsr 1 in
-      st.faulty_deg.(v) <-
-        (st.faulty_deg.(v) + if enc land 1 = 1 then -1 else 1)
+      Fault_mask.shift st.mask (enc lsr 1) (if enc land 1 = 1 then -1 else 1)
     done;
     sh.deg_len <- 0;
     st.failures <- st.failures + sh.s_failures;
@@ -819,11 +816,7 @@ let commit_window st =
     st.repairs <- st.repairs + sh.s_repairs;
     sh.s_repairs <- 0;
     st.events <- st.events + sh.s_events;
-    sh.s_events <- 0;
-    for j = 0 to sh.ctl_len - 1 do
-      Heap.push st.heap ~time:sh.ctl_t.(j) sh.ctl_ev.(j)
-    done;
-    sh.ctl_len <- 0
+    sh.s_events <- 0
   done;
   let idx = st.esc_idx in
   Array.fill idx 0 ns 0;
@@ -855,12 +848,16 @@ let dispatch_mono st ev =
   | 2 -> handle_fail st (ev lsr 2)
   | _ -> handle_repair st (ev lsr 2)
 
+(* a closed tick counts itself: a thinned one is not an event *)
 let dispatch_sharded st ev =
   match ev land 3 with
-  | 0 -> handle_arrival st
-  | 1 -> handle_hangup st (ev lsr 2)
-  | 2 -> handle_fail_closed st (ev lsr 2)
-  | _ -> handle_repair_closed st (ev lsr 2)
+  | 2 -> handle_closed_tick st (ev lsr 2)
+  | tag -> (
+      st.events <- st.events + 1;
+      match tag with
+      | 0 -> handle_arrival st
+      | 1 -> handle_hangup st (ev lsr 2)
+      | _ -> handle_repair_closed st (ev lsr 2))
 
 let run_mono st horizon =
   let continue_ = ref true in
@@ -883,11 +880,11 @@ let run_mono st horizon =
   done
 
 (* Conservative time-window synchronizer: the safe horizon for a drain
-   is the next control event (arrivals, hangups and closed failures all
-   live on the control heap, and they are the only events that mutate
-   call state), capped by the stop horizon.  Each iteration drains all
-   shards up to that window, commits, then executes exactly one control
-   event. *)
+   is the next control event (arrivals, hangups and the closed clocks
+   all live on the control heap, and they are the only events that
+   mutate call state), capped by the stop horizon.  Each iteration
+   drains all shards up to that window, commits, then executes exactly
+   one control event. *)
 let run_sharded st horizon =
   let ns = Array.length st.shs in
   let tasks = Array.init ns (fun k () -> drain_shard st k) in
@@ -908,22 +905,16 @@ let run_sharded st horizon =
         st.fs.(3) <- w;
         Trials.parallel_tasks ~jobs tasks;
         commit_window st;
-        if not st.stopped then begin
-          (* a drain may have delivered a closed failure below [w] *)
-          let wc' =
-            if Heap.is_empty st.heap then infinity else Heap.min_time st.heap
-          in
-          if wc' > horizon then begin
-            advance st horizon;
-            st.stopped <- true;
-            continue_ := false
-          end
-          else begin
-            let ev = Heap.pop st.heap in
-            advance st wc';
-            st.events <- st.events + 1;
-            dispatch_sharded st ev
-          end
+        if st.stopped then ()
+        else if wc > horizon then begin
+          advance st horizon;
+          st.stopped <- true;
+          continue_ := false
+        end
+        else begin
+          let ev = Heap.pop st.heap in
+          advance st wc;
+          dispatch_sharded st ev
         end
       end
     end
@@ -951,6 +942,7 @@ let finish st =
   c "traffic.dropped" st.dropped;
   c "traffic.rerouted" st.rerouted;
   c "traffic.failures" st.failures;
+  c "traffic.closed_failures" st.closed_failures;
   c "traffic.repairs" st.repairs;
   if st.catastrophe_at <> None then c "traffic.catastrophes" 1;
   {
@@ -979,26 +971,26 @@ let run ~rng ~config:cfg net =
   if Network.n_inputs net = 0 || Network.n_outputs net = 0 then
     invalid_arg "Traffic.run: network has no terminals";
   let st = init ~rng ~cfg net in
-  (* deterministic bootstrap: saturation placements (no draws), one
-     failure clock per switch in ascending edge order, then the first
-     arrival *)
+  (* deterministic bootstrap: saturation placements (no draws), the
+     fault clocks — one per switch in ascending edge order unsharded, or
+     per shard in ascending order its open then its closed clock — then
+     the first arrival *)
   if cfg.saturate then saturate st;
   if cfg.mtbf < infinity then begin
-    let m = Digraph.edge_count net.Network.graph in
     if cfg.shards = 1 then
-      for e = 0 to m - 1 do
+      for e = 0 to Digraph.edge_count net.Network.graph - 1 do
         schedule st
           (Dist.exponential st.crng ~rate:(1.0 /. cfg.mtbf))
           (ev_fail e)
       done
     else
-      for e = 0 to m - 1 do
-        let sh = st.shs.(Shard.shard_of st.eshard e) in
-        let dt = Dist.exponential sh.srng ~rate:(1.0 /. cfg.mtbf) in
-        let closed = Rng.bool sh.srng in
-        if closed then Heap.push st.heap ~time:dt (ev_fail e)
-        else Heap.push sh.sheap ~time:dt (ev_fail e)
-      done
+      Array.iteri
+        (fun k sh ->
+          Heap.push sh.sheap
+            ~time:(Dist.exponential sh.srng ~rate:sh.rate)
+            (ev_tick k);
+          schedule st (Dist.exponential sh.srng ~rate:sh.rate) (ev_tick k))
+        st.shs
   end;
   if cfg.load > 0.0 then
     schedule st (Dist.exponential st.crng ~rate:cfg.load) ev_arrival;

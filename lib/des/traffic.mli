@@ -6,9 +6,10 @@
     fail.  This engine makes those statements quantitative: calls arrive
     as a Poisson process (offered load in Erlangs), hold for unit-mean
     exponential or Pareto times, and are routed through the network by
-    the maskable {!Ftcsn_routing.Greedy} router ([~allowed]/[~edge_ok])
-    — optionally falling back to a {!Ftcsn_routing.Backtrack}
-    rearrangement when the greedy probe blocks.  Meanwhile each switch
+    the maskable {!Ftcsn_routing.Greedy} router ([~allowed]/[~edge_ok]
+    read the byte-packed {!Fault_mask}) — optionally falling back to a
+    {!Ftcsn_routing.Backtrack} rearrangement when the greedy probe
+    blocks.  Meanwhile each switch
     carries exponential failure and repair clocks; a failure is open or
     closed with equal probability (the paper's ε₁/ε₂ split), severs the
     call using that switch (the engine immediately attempts a greedy
@@ -20,8 +21,9 @@
     Events execute in [(time, push-sequence)] order ({!Heap}), and every
     PRNG draw happens while handling some event, in a fixed documented
     order (arrival: endpoint picks, holding time, next interarrival;
-    failure: open/closed coin, repair time).  A replication's trace is
-    therefore a pure function of its substream, and {!estimate}
+    failure: open/closed coin, repair time; with [shards > 1] a shard's
+    fault clock: switch pick, repair time if it fails, next firing).  A
+    replication's trace is therefore a pure function of its substream, and {!estimate}
     fan-outs on {!Ftcsn_sim.Trials} are bit-identical at every [jobs]
     and with tracing on or off.
 
@@ -49,17 +51,32 @@
     leases that many domains from the {!Ftcsn_sim.Trials} pool to run
     the drains concurrently {e within} one replication.
 
+    Idle switches cost nothing: instead of one pending clock per
+    switch, the M_k switches of shard k share two thinned exponential
+    clocks of rate M_k / (2 mtbf) each — an open one on the shard's
+    heap and a closed one on the control heap.  A firing picks one of
+    the shard's switches uniformly; a normal one fails (open or closed,
+    by clock), an already-failed one leaves the firing {e thinned}: no
+    state change, not counted in [events] or [failures].  Superposed
+    exponential clocks thinned this way give every normal switch the
+    per-switch law exactly (failure rate 1/mtbf, fair open/closed
+    coin), and the heaps hold O(shards + live calls + pending repairs)
+    entries.  The closed clock draws from its shard's substream on the
+    control side, between drains, so no draw depends on [shard_jobs].
+
     The sharded mode is deterministic — a pure function of the seed,
     identical at every [shard_jobs] and [jobs] and with tracing on or
     off — but it is a {e different documented discretization} from
-    [shards = 1], not bit-identical to it: the open/closed coin is
-    pre-drawn at scheduling time, per-edge clocks come from the owning
-    shard's substream, and a call severed by an open failure inside a
+    [shards = 1], not bit-identical to it: failures come from the
+    shards' thinned clocks and substreams rather than per-switch clocks
+    on the trial stream, and a call severed by an open failure inside a
     window is rerouted at window commit over the fault mask as of the
     window end (a bounded relaxation — one control-event interarrival —
     of the instantaneous-reroute rule).  No sever is ever missed: calls
     placed or rerouted at commit route over the fully-committed mask,
-    so they cannot cross an edge that failed during the window.
+    so they cannot cross an edge that failed during the window.  The
+    test suite checks the two modes agree in law: failure counts,
+    the closed share and the blocking/occupancy intervals.
 
     With [shards = 1] (the default) the engine is bit-identical to the
     pre-scale-layer implementation, event for event and draw for draw
@@ -229,4 +246,5 @@ val estimate :
     (one substream each, default label ["traffic.estimate"]) — the
     result is bit-identical at every [jobs] and with tracing on or off.
     Aggregate event counts accumulate in [Ftcsn_obs.Metrics.default]
-    under [traffic.*]. *)
+    under [traffic.*] ([traffic.closed_failures] counts the closed
+    subset of [traffic.failures]). *)

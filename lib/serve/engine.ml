@@ -1,12 +1,12 @@
 module Network = Ftcsn_networks.Network
 module Digraph = Ftcsn_graph.Digraph
-module Fault = Ftcsn_reliability.Fault
 module Dyn_conn = Ftcsn_reliability.Dyn_conn
 module Greedy = Ftcsn_routing.Greedy
 module Rng = Ftcsn_prng.Rng
 module Heap = Ftcsn_des.Heap
 module Dist = Ftcsn_des.Dist
 module Shard = Ftcsn_des.Shard
+module Fault_mask = Ftcsn_des.Fault_mask
 module Json = Ftcsn_obs.Json
 module Trace = Ftcsn_obs.Trace
 module Histogram = Ftcsn_obs.Histogram
@@ -14,7 +14,8 @@ module Histogram = Ftcsn_obs.Histogram
 (* Event encoding, heap layout and the call bookkeeping below mirror
    Ftcsn_des.Traffic (see DESIGN.md §9): unboxed int events, an
    idle-terminal index pool, and a structure-of-arrays call store whose
-   slots carry grow-once path buffers.  The differences are the arrival
+   slots carry grow-once path buffers; the fault mask is Traffic's own
+   Ftcsn_des.Fault_mask.  The differences are the arrival
    source (external requests instead of a Poisson clock), string call
    ids (the wire protocol's names), and per-switch clock substreams
    (the shards-invariance argument in the .mli). *)
@@ -98,9 +99,7 @@ type t = {
   fheaps : int Heap.t array;  (* failure/repair clocks, one per shard *)
   eshard : Bytes.t;  (* edge -> shard id; empty when shards = 1 *)
   router : Greedy.t;
-  fstate : Fault.state array;
-  faulty_deg : int array;
-  is_terminal : bool array;
+  mask : Fault_mask.t;
   owner : int array;  (* vertex -> slot of the call holding it *)
   calls : store;
   tbl : (string, int) Hashtbl.t;  (* live call id -> slot *)
@@ -128,8 +127,6 @@ type t = {
   mutable max_concurrent : int;
 }
 
-let is_normal s = Fault.state_equal s Fault.Normal
-
 let create ?(engine = `Bfs) ?(holding = Dist.Exponential) ?(mtbf = infinity)
     ?(mttr = 10.0) ?(shards = 1) ?trace ~emit ~rng net =
   if not (mtbf > 0.0) then invalid_arg "Engine.create: mtbf must be > 0";
@@ -143,12 +140,7 @@ let create ?(engine = `Bfs) ?(holding = Dist.Exponential) ?(mtbf = infinity)
          shards (Shard.regions net));
   let g = net.Network.graph in
   let n = Digraph.vertex_count g and m = Digraph.edge_count g in
-  let is_terminal = Array.make n false in
-  List.iter (fun v -> is_terminal.(v) <- true) (Network.terminals net);
-  let fstate = Array.make m Fault.Normal in
-  let faulty_deg = Array.make n 0 in
-  let allowed v = is_terminal.(v) || faulty_deg.(v) = 0 in
-  let edge_ok e = is_normal fstate.(e) in
+  let mask = Fault_mask.create net in
   let erng = Array.init m (fun e -> Rng.substream rng (1 + e)) in
   let fheaps = Array.init shards (fun _ -> Heap.create ~dummy:0 ()) in
   let eshard =
@@ -168,10 +160,10 @@ let create ?(engine = `Bfs) ?(holding = Dist.Exponential) ?(mtbf = infinity)
       ctl = Heap.create ~dummy:0 ();
       fheaps;
       eshard;
-      router = Greedy.create ~allowed ~edge_ok ~engine net;
-      fstate;
-      faulty_deg;
-      is_terminal;
+      router =
+        Greedy.create ~allowed:(Fault_mask.allowed mask)
+          ~edge_ok:(Fault_mask.edge_ok mask) ~engine net;
+      mask;
       owner = Array.make n (-1);
       calls =
         store_create (min (Network.n_inputs net) (Network.n_outputs net));
@@ -382,11 +374,7 @@ let handle_fail st e =
     Heap.push (heap_of st e)
       ~time:(st.fs.(0) +. Dist.exponential r ~rate:(1.0 /. st.mttr))
       (ev_repair e);
-  st.fstate.(e) <-
-    (if closed then Fault.Closed_failure else Fault.Open_failure);
-  let u, v = Digraph.edge_endpoints st.net.Network.graph e in
-  st.faulty_deg.(u) <- st.faulty_deg.(u) + 1;
-  if v <> u then st.faulty_deg.(v) <- st.faulty_deg.(v) + 1;
+  Fault_mask.fail st.mask e ~closed;
   if closed then begin
     Dyn_conn.close st.conn e;
     if (not st.cat_live) && Dyn_conn.terminals_shorted st.conn then begin
@@ -397,19 +385,17 @@ let handle_fail st e =
       st.emit (Proto.Catastrophe { t = st.fs.(0) })
     end
   end;
+  let u, v = Digraph.edge_endpoints st.net.Network.graph e in
   sever st e ~u ~v
 
 let handle_repair st e =
   st.repairs <- st.repairs + 1;
-  if Fault.state_equal st.fstate.(e) Fault.Closed_failure then begin
+  if Fault_mask.is_closed st.mask e then begin
     Dyn_conn.reopen st.conn e;
     if st.cat_live && not (Dyn_conn.terminals_shorted st.conn) then
       st.cat_live <- false
   end;
-  st.fstate.(e) <- Fault.Normal;
-  let u, v = Digraph.edge_endpoints st.net.Network.graph e in
-  st.faulty_deg.(u) <- st.faulty_deg.(u) - 1;
-  if v <> u then st.faulty_deg.(v) <- st.faulty_deg.(v) - 1;
+  Fault_mask.repair st.mask e;
   (* back in service with a fresh failure clock from its own stream *)
   Heap.push (heap_of st e)
     ~time:(st.fs.(0) +. Dist.exponential st.erng.(e) ~rate:(1.0 /. st.mtbf))

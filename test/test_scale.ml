@@ -1,8 +1,10 @@
 (* Tests for the million-switch scale layer: Dyn_conn incremental
-   connectivity against batch oracles, Shard partitions, the
-   single-shard bit-identity pin of the rewritten Traffic engine
-   against the frozen Traffic_ref copy, and determinism/conservation of
-   the sharded mode. *)
+   connectivity against batch oracles, Shard partitions, the byte-packed
+   Fault_mask against the array mask it replaced, the single-shard
+   bit-identity pin of the rewritten Traffic engine against the frozen
+   Traffic_ref copy, determinism/conservation of the sharded mode, the
+   thinning pins of its per-shard fault clocks, and its statistical
+   equivalence with the unsharded engine. *)
 
 module Rng = Ftcsn_prng.Rng
 module Digraph = Ftcsn_graph.Digraph
@@ -12,6 +14,10 @@ module Network = Ftcsn_networks.Network
 module Topology = Ftcsn_networks.Topology
 module Benes = Ftcsn_networks.Benes
 module Shard = Ftcsn_des.Shard
+module Fault_mask = Ftcsn_des.Fault_mask
+module Batch_means = Ftcsn_des.Batch_means
+module Metrics = Ftcsn_obs.Metrics
+module Counter = Ftcsn_obs.Counter
 module Traffic = Ftcsn_des.Traffic
 module Traffic_ref = Ftcsn_des.Traffic_ref
 
@@ -166,6 +172,54 @@ let test_shard_partition () =
       | _ -> Alcotest.fail "shards = 0 should be refused")
     nets
 
+(* ---------- Fault_mask vs the state-array mask ---------- *)
+
+(* random fail/repair sequence; after every step the mask's predicates
+   must agree with the definitions the engines used to evaluate over a
+   [Fault.state array], a terminal flag array and faulty-degree counts *)
+let test_fault_mask () =
+  List.iter
+    (fun (name, net) ->
+      let g = net.Network.graph in
+      let n = Digraph.vertex_count g and m = Digraph.edge_count g in
+      let is_terminal = Array.make n false in
+      List.iter (fun v -> is_terminal.(v) <- true) (Network.terminals net);
+      let state = Array.make m `Normal and deg = Array.make n 0 in
+      let mask = Fault_mask.create net in
+      let allowed = Fault_mask.allowed mask
+      and edge_ok = Fault_mask.edge_ok mask in
+      let bump e d =
+        let u, v = Digraph.edge_endpoints g e in
+        deg.(u) <- deg.(u) + d;
+        if v <> u then deg.(v) <- deg.(v) + d
+      in
+      let rng = Rng.create ~seed:7 in
+      for step = 1 to 300 do
+        let e = Rng.int rng m in
+        (match state.(e) with
+        | `Normal ->
+            let closed = Rng.bool rng in
+            state.(e) <- (if closed then `Closed else `Open);
+            Fault_mask.fail mask e ~closed;
+            bump e 1
+        | `Open | `Closed ->
+            state.(e) <- `Normal;
+            Fault_mask.repair mask e;
+            bump e (-1));
+        for v = 0 to n - 1 do
+          if allowed v <> (is_terminal.(v) || deg.(v) = 0) then
+            Alcotest.failf "%s: allowed %d diverged at step %d" name v step
+        done;
+        for e = 0 to m - 1 do
+          if
+            edge_ok e <> (state.(e) = `Normal)
+            || Fault_mask.is_normal mask e <> (state.(e) = `Normal)
+            || Fault_mask.is_closed mask e <> (state.(e) = `Closed)
+          then Alcotest.failf "%s: switch %d diverged at step %d" name e step
+        done
+      done)
+    (registry_nets ~n:8)
+
 (* ---------- single-shard bit-identity against Traffic_ref ---------- *)
 
 let test_bit_identity_run () =
@@ -292,6 +346,143 @@ let test_sharded_conservation () =
   checkb "sim time reached horizon or catastrophe" true
     (s.Traffic.sim_time = 150.0 || s.Traffic.catastrophe_at <> None)
 
+(* ---------- sharded fault clocks: thinning pins ---------- *)
+
+(* Four disjoint chains of [len] switches from one input to one output:
+   [len] levels to shard, and a catastrophe needs a whole chain closed
+   at once, so at len = 12 a run practically never ends early. *)
+let chains ~len =
+  let k = 4 in
+  (* vertex 0 = input, 1 = output, chain c's j-th inner vertex =
+     2 + c * (len - 1) + j *)
+  let inner c j = 2 + (c * (len - 1)) + j in
+  let edges =
+    List.concat_map
+      (fun c ->
+        List.init len (fun j ->
+            let src = if j = 0 then 0 else inner c (j - 1) in
+            let dst = if j = len - 1 then 1 else inner c j in
+            (src, dst)))
+      (List.init k Fun.id)
+  in
+  let graph =
+    Digraph.of_edges ~n:(2 + (k * (len - 1))) (Array.of_list edges)
+  in
+  Network.make ~name:"chains" ~graph ~inputs:[| 0 |] ~outputs:[| 1 |]
+
+(* With no calls, every event is a failure or a repair — a thinned
+   firing (its drawn switch was already failed) must not be counted.
+   At mtbf = mttr half the switches are down, so about half of the
+   roughly 40 m firings are thinned. *)
+let test_thinning_counts () =
+  let net = chains ~len:12 in
+  let config =
+    Traffic.config ~load:0.0 ~mtbf:1.0 ~mttr:1.0 ~shards:4
+      ~stop:(Traffic.Horizon 40.0) ()
+  in
+  List.iter
+    (fun seed ->
+      let s = Traffic.run ~rng:(Rng.create ~seed) ~config net in
+      checkb "failures happened" true (s.Traffic.failures > 0);
+      check
+        (Printf.sprintf "events = failures + repairs (seed %d)" seed)
+        s.Traffic.events
+        (s.Traffic.failures + s.Traffic.repairs))
+    [ 1; 2; 3 ]
+
+(* With permanent failures each switch fails at most once, although the
+   shard clocks keep firing long after: over 40 mtbf the clocks fire
+   about 40 m times, and all but m of those firings must be thinned. *)
+let test_thinning_permanent () =
+  let net = chains ~len:12 in
+  let m = Digraph.edge_count net.Network.graph in
+  let config =
+    Traffic.config ~load:0.0 ~mtbf:1.0 ~mttr:infinity ~shards:4
+      ~stop:(Traffic.Horizon 40.0) ()
+  in
+  List.iter
+    (fun seed ->
+      let s = Traffic.run ~rng:(Rng.create ~seed) ~config net in
+      let tag = Printf.sprintf " (seed %d)" seed in
+      check ("no repairs" ^ tag) 0 s.Traffic.repairs;
+      checkb ("failures <= m" ^ tag) true (s.Traffic.failures <= m);
+      check ("events = failures" ^ tag) s.Traffic.failures s.Traffic.events;
+      (* every switch is down long before the horizon *)
+      if s.Traffic.catastrophe_at = None then
+        check ("every switch failed once" ^ tag) m s.Traffic.failures)
+    [ 1; 2; 3 ]
+
+(* ---------- sharded vs unsharded: statistical equivalence ---------- *)
+
+(* Per-shard thinned clocks are exact for exponential clocks, so the
+   sharded engine's fault process must have the unsharded law: over a
+   window of length T each of the m switches alternates up (mean mtbf)
+   and down (mean mttr), giving m T / (mtbf + mttr) failures in
+   expectation (the start-up transient here is below 0.01 failures),
+   with a variance at most the mean; each failure is closed with
+   probability 1/2.  The call statistics differ only through the
+   sharded mode's reroute-at-commit, so their intervals must overlap
+   the unsharded ones. *)
+let test_sharded_equivalence () =
+  let net = Benes.create 64 in
+  let m = float_of_int (Digraph.edge_count net.Network.graph) in
+  let mtbf = 200.0 and mttr = 0.5 in
+  let seeds = List.init 10 (fun i -> 100 + i) in
+  let z = 3.29 in
+  let closed = Metrics.counter Metrics.default "traffic.closed_failures" in
+  let sample shards =
+    let runs =
+      List.map
+        (fun seed ->
+          let c0 = Counter.get closed in
+          let s =
+            Traffic.run ~rng:(Rng.create ~seed)
+              ~config:
+                (Traffic.config ~load:24.0 ~mtbf ~mttr ~shards
+                   ~policy:Traffic.Route_loop ~stop:(Traffic.Horizon 200.0)
+                   ())
+              net
+          in
+          (s, Counter.get closed - c0))
+        seeds
+    in
+    let sum f = List.fold_left (fun a r -> a + f r) 0 runs in
+    let failures = sum (fun (s, _) -> s.Traffic.failures)
+    and closed = sum snd
+    and span =
+      List.fold_left (fun a (s, _) -> a +. s.Traffic.sim_time) 0.0 runs
+    in
+    let tag = Printf.sprintf "shards=%d" shards in
+    let expect = m *. span /. (mtbf +. mttr) in
+    let zf = (float_of_int failures -. expect) /. sqrt expect in
+    if Float.abs zf > z then
+      Alcotest.failf "%s: %d failures, expected %.1f (z = %.2f)" tag failures
+        expect zf;
+    let nf = float_of_int failures in
+    let zc = (float_of_int closed -. (nf /. 2.0)) /. sqrt (nf /. 4.0) in
+    if Float.abs zc > z then
+      Alcotest.failf "%s: %d of %d failures closed (z = %.2f)" tag closed
+        failures zc;
+    let ci f =
+      Batch_means.of_means (Array.of_list (List.map (fun (s, _) -> f s) runs))
+    in
+    (ci (fun s -> s.Traffic.blocking), ci (fun s -> s.Traffic.occupancy))
+  in
+  let blocking1, occupancy1 = sample 1 in
+  checkb "calls were blocked" true (blocking1.Batch_means.mean > 0.0);
+  List.iter
+    (fun shards ->
+      let blocking, occupancy = sample shards in
+      let overlap what (a : Batch_means.summary) (b : Batch_means.summary) =
+        if not (a.ci_low <= b.ci_high && b.ci_low <= a.ci_high) then
+          Alcotest.failf
+            "shards=%d: %s interval [%g, %g] misses the unsharded [%g, %g]"
+            shards what a.ci_low a.ci_high b.ci_low b.ci_high
+      in
+      overlap "blocking" blocking blocking1;
+      overlap "occupancy" occupancy occupancy1)
+    [ 2; 4; 8 ]
+
 let test_sharded_refusal () =
   let net = Benes.create 16 in
   let r = Shard.regions net in
@@ -314,6 +505,9 @@ let () =
         ] );
       ( "shard",
         [ Alcotest.test_case "partition properties" `Quick test_shard_partition ] );
+      ( "fault mask",
+        [ Alcotest.test_case "= state-array mask on every family" `Quick
+            test_fault_mask ] );
       ( "bit identity",
         [
           Alcotest.test_case "run = Traffic_ref.run on every family" `Quick
@@ -331,5 +525,11 @@ let () =
             test_sharded_conservation;
           Alcotest.test_case "refuses shards > regions" `Quick
             test_sharded_refusal;
+          Alcotest.test_case "thinned firings are not counted" `Quick
+            test_thinning_counts;
+          Alcotest.test_case "permanent failures hit each switch once"
+            `Quick test_thinning_permanent;
+          Alcotest.test_case "statistically equivalent to shards=1" `Quick
+            test_sharded_equivalence;
         ] );
     ]
