@@ -457,7 +457,7 @@ let engine_samples ?(quick = false) ~jobs_list () =
     let rng = Rng.create ~seed:49 in
     ref_last :=
       Some
-        (Ftcsn_des.Traffic_ref.estimate ~jobs ~trace ~trials ~rng
+        (Traffic_ref.estimate ~jobs ~trace ~trials ~rng
            ~config:(scale_config ~horizon:ref_horizon) scale_net)
   in
   let events_per_sec last t =

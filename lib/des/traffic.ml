@@ -97,93 +97,16 @@ type stats = {
 }
 
 (* Events are unboxed ints: [(arg lsl 2) lor tag].  Tag 0 = Arrival
-   (arg 0), 1 = Hangup (arg = stamp * cap + slot, see the call store),
-   2 = Fail e (unsharded) or the fault clock of shard k (sharded),
-   3 = Repair e.  Pushing an immediate int onto the heap allocates
-   nothing, and the [(time, push-seq)] determinism contract only cares
-   about push order, which is unchanged from the variant encoding this
-   replaced. *)
+   (arg 0), 1 = Hangup (arg = {!Calls.key}), 2 = Fail e (unsharded) or
+   the fault clock of shard k (sharded), 3 = Repair e.  Pushing an
+   immediate int onto the heap allocates nothing, and the [(time,
+   push-seq)] determinism contract only cares about push order, which is
+   unchanged from the variant encoding this replaced. *)
 let ev_arrival = 0
 let ev_hangup key = (key lsl 2) lor 1
 let ev_fail e = (e lsl 2) lor 2
 let ev_tick k = (k lsl 2) lor 2
 let ev_repair e = (e lsl 2) lor 3
-
-(* idle-terminal index pool: [items] is always a permutation of [0, n)
-   whose prefix [0, size) is the idle set, with [pos] the inverse map —
-   O(1) remove/add and an exactly-uniform draw over the idle set *)
-type pool = { items : int array; pos : int array; mutable size : int }
-
-let pool_create n =
-  { items = Array.init n Fun.id; pos = Array.init n Fun.id; size = n }
-
-let pool_remove p x =
-  let i = p.pos.(x) in
-  let last = p.size - 1 in
-  let y = p.items.(last) in
-  p.items.(i) <- y;
-  p.pos.(y) <- i;
-  p.items.(last) <- x;
-  p.pos.(x) <- last;
-  p.size <- last
-
-let pool_add p x =
-  let i = p.pos.(x) in
-  let y = p.items.(p.size) in
-  p.items.(p.size) <- x;
-  p.pos.(x) <- p.size;
-  p.items.(i) <- y;
-  p.pos.(y) <- i;
-  p.size <- p.size + 1
-
-let pool_draw rng p = p.items.(Rng.int rng p.size)
-
-(* Structure-of-arrays call store.  At most [min n_inputs n_outputs]
-   calls are ever live (each holds one input and one output), so slots
-   are preallocated and recycled through an intrusive freelist; the
-   live set is an intrusive doubly-linked list through [c_prev]/[c_next]
-   (order is irrelevant — the only order-sensitive consumer, the
-   rearrangement re-lay, sorts by call id).  Per-slot path/edge arrays
-   grow once to the path length and are reused, so the steady-state
-   call path — place, sever, reroute, hang up — allocates nothing.
-
-   Hangup staleness: a pending hangup event carries [stamp * cap +
-   slot].  [c_stamp] bumps only when a slot is {e permanently} freed
-   (hangup or sever-without-reroute), never on a sever that reroutes
-   the same call, so a rerouted call's pending hangup stays valid —
-   exactly the semantics of the hashtable re-add it replaces. *)
-type store = {
-  cap : int;
-  call_id : int array;  (* unique id (legacy next_id); -1 when free *)
-  c_in : int array;  (* input index, not vertex id *)
-  c_out : int array;
-  c_stamp : int array;
-  c_plen : int array;
-  c_path : int array array;
-  c_edges : int array array;
-  c_prev : int array;
-  c_next : int array;  (* live-list next, or freelist next when free *)
-  mutable live_head : int;
-  mutable live_count : int;
-  mutable free_head : int;
-}
-
-let store_create cap =
-  {
-    cap;
-    call_id = Array.make cap (-1);
-    c_in = Array.make cap (-1);
-    c_out = Array.make cap (-1);
-    c_stamp = Array.make cap 0;
-    c_plen = Array.make cap 0;
-    c_path = Array.make cap [||];
-    c_edges = Array.make cap [||];
-    c_prev = Array.make cap (-1);
-    c_next = Array.init cap (fun i -> if i + 1 < cap then i + 1 else -1);
-    live_head = -1;
-    live_count = 0;
-    free_head = (if cap > 0 then 0 else -1);
-  }
 
 (* One event shard: a contiguous block of topological edge levels with
    its own heap, PRNG stream and scratch buffers.  Its switches share two
@@ -214,16 +137,11 @@ type state = {
   cfg : config;
   crng : Rng.t;  (* the trial stream (shards = 1) or its control substream *)
   heap : int Heap.t;  (* control heap; the only heap when shards = 1 *)
-  router : Greedy.t;
   mask : Fault_mask.t;
-  owner : int array;  (* vertex -> slot of the call whose path holds it *)
-  calls : store;
+  calls : Calls.t;
+  call_id : int array;  (* slot -> unique id, the rearrangement order *)
   mutable next_id : int;
-  idle_in : pool;
-  idle_out : pool;
   conn : Dyn_conn.t;  (* incremental Lemma-7 catastrophe check *)
-  route_buf : int array;  (* shared allocation-free routing target *)
-  route_ebuf : int array;  (* ... and the switches of its hops *)
   (* hot float scalars live in a flat float array so per-event updates
      don't box: 0 = now, 1 = area (∫ live-call count dt since
      window_start), 2 = holding_sum, 3 = current drain window end *)
@@ -239,7 +157,6 @@ type state = {
   mutable closed_failures : int;
   mutable repairs : int;
   mutable events : int;
-  mutable max_concurrent : int;
   mutable window_start : float;
   mutable measuring : bool;
   mutable w_offered : int;
@@ -271,12 +188,18 @@ let shard_switches eshard ~shards =
 
 let init ~rng ~cfg net =
   let g = net.Network.graph in
-  let n = Digraph.vertex_count g in
   let mask = Fault_mask.create net in
   let sharded = cfg.shards > 1 in
   (* substreams are derived without advancing [rng], so the unsharded
      engine — which consumes [rng] directly — is untouched by this *)
   let crng = if sharded then Rng.substream rng 0 else rng in
+  let calls =
+    Calls.create net
+      ~router:
+        (Greedy.create ~allowed:(Fault_mask.allowed mask)
+           ~edge_ok:(Fault_mask.edge_ok mask)
+           ~engine:(engine_of_policy cfg.policy) net)
+  in
   let shards =
     if not sharded then [||]
     else
@@ -304,19 +227,11 @@ let init ~rng ~cfg net =
     cfg;
     crng;
     heap = Heap.create ~dummy:0 ();
-    router =
-      Greedy.create ~allowed:(Fault_mask.allowed mask)
-        ~edge_ok:(Fault_mask.edge_ok mask)
-        ~engine:(engine_of_policy cfg.policy) net;
     mask;
-    owner = Array.make n (-1);
-    calls = store_create (min (Network.n_inputs net) (Network.n_outputs net));
+    calls;
+    call_id = Array.make calls.cap 0;
     next_id = 0;
-    idle_in = pool_create (Network.n_inputs net);
-    idle_out = pool_create (Network.n_outputs net);
     conn = Dyn_conn.create ~terminals:(Network.terminals net) g;
-    route_buf = Array.make n 0;
-    route_ebuf = Array.make n 0;
     fs = Array.make 4 0.0;
     offered = 0;
     served = 0;
@@ -329,7 +244,6 @@ let init ~rng ~cfg net =
     closed_failures = 0;
     repairs = 0;
     events = 0;
-    max_concurrent = 0;
     window_start = 0.0;
     measuring = (match cfg.stop with Horizon _ -> true | Calls _ -> false);
     w_offered = 0;
@@ -355,140 +269,27 @@ let advance st t =
 
 let schedule st dt ev = Heap.push st.heap ~time:(st.fs.(0) +. dt) ev
 
-(* grow-once per-slot buffers: steady state reuses them *)
-let slot_path st slot len =
-  let p = st.calls.c_path.(slot) in
-  if Array.length p >= len then p
-  else begin
-    let p' = Array.make (max len (2 * Array.length p)) 0 in
-    st.calls.c_path.(slot) <- p';
-    p'
-  end
-
-let slot_edges st slot len =
-  let p = st.calls.c_edges.(slot) in
-  if Array.length p >= len then p
-  else begin
-    let p' = Array.make (max len (2 * Array.length p)) 0 in
-    st.calls.c_edges.(slot) <- p';
-    p'
-  end
-
-let note_concurrency st =
-  if st.calls.live_count > st.max_concurrent then
-    st.max_concurrent <- st.calls.live_count
-
-let link_live st slot =
-  let s = st.calls in
-  s.c_prev.(slot) <- -1;
-  s.c_next.(slot) <- s.live_head;
-  if s.live_head >= 0 then s.c_prev.(s.live_head) <- slot;
-  s.live_head <- slot;
-  s.live_count <- s.live_count + 1
-
-let unlink_live st slot =
-  let s = st.calls in
-  let p = s.c_prev.(slot) and n = s.c_next.(slot) in
-  if p >= 0 then s.c_next.(p) <- n else s.live_head <- n;
-  if n >= 0 then s.c_prev.(n) <- p;
-  s.live_count <- s.live_count - 1
-
-let alloc_slot st ~input ~output =
-  let s = st.calls in
-  let slot = s.free_head in
-  (* an idle input/output pair existed, so a free slot must too *)
-  s.free_head <- s.c_next.(slot);
-  s.call_id.(slot) <- st.next_id;
-  st.next_id <- st.next_id + 1;
-  s.c_in.(slot) <- input;
-  s.c_out.(slot) <- output;
-  slot
-
-(* permanent release: the stamp bump is what invalidates any pending
-   hangup event for this occupancy *)
-let free_slot st slot =
-  let s = st.calls in
-  s.c_stamp.(slot) <- s.c_stamp.(slot) + 1;
-  s.call_id.(slot) <- -1;
-  s.c_next.(slot) <- s.free_head;
-  s.free_head <- slot
-
-(* adopt a path already marked busy in the router, from route_buf *)
-let adopt_buf st slot ~len =
-  let s = st.calls in
-  let p = slot_path st slot len in
-  Array.blit st.route_buf 0 p 0 len;
-  s.c_plen.(slot) <- len;
-  let hops = max (len - 1) 0 in
-  Array.blit st.route_ebuf 0 (slot_edges st slot hops) 0 hops;
-  for i = 0 to len - 1 do
-    st.owner.(p.(i)) <- slot
-  done;
-  pool_remove st.idle_in s.c_in.(slot);
-  pool_remove st.idle_out s.c_out.(slot);
-  link_live st slot;
-  note_concurrency st
-
-(* cold-path variant taking a list path (saturation, rearrangement) *)
-let set_path_list st slot path =
-  let len = List.length path in
-  let p = slot_path st slot len in
-  List.iteri (fun i v -> p.(i) <- v) path;
-  st.calls.c_plen.(slot) <- len;
-  Greedy.path_edges st.router p ~len
-    ~ebuf:(slot_edges st slot (max (len - 1) 0))
-
-let adopt_list st slot path =
-  set_path_list st slot path;
-  let s = st.calls in
-  let p = s.c_path.(slot) in
-  for i = 0 to s.c_plen.(slot) - 1 do
-    st.owner.(p.(i)) <- slot
-  done;
-  pool_remove st.idle_in s.c_in.(slot);
-  pool_remove st.idle_out s.c_out.(slot);
-  link_live st slot;
-  note_concurrency st
-
-(* take the call off the network but keep its slot (the sever path may
-   immediately re-adopt it under the same id and stamp) *)
-let vacate st slot =
-  let s = st.calls in
-  let p = s.c_path.(slot) and len = s.c_plen.(slot) in
-  Greedy.release_buf st.router p ~len;
-  for i = 0 to len - 1 do
-    st.owner.(p.(i)) <- -1
-  done;
-  pool_add st.idle_in s.c_in.(slot);
-  pool_add st.idle_out s.c_out.(slot);
-  unlink_live st slot
+let assign_id st slot =
+  st.call_id.(slot) <- st.next_id;
+  st.next_id <- st.next_id + 1
 
 (* a new call goes live: draw its holding time, schedule its hangup *)
-let place_new_buf st ~i ~o ~len =
-  let slot = alloc_slot st ~input:i ~output:o in
-  adopt_buf st slot ~len;
+let start_call st slot =
+  assign_id st slot;
   let h = Dist.holding_time st.crng st.cfg.holding in
-  schedule st h (ev_hangup ((st.calls.c_stamp.(slot) * st.calls.cap) + slot));
-  if st.measuring then st.fs.(2) <- st.fs.(2) +. h
-
-let place_new_list st ~i ~o path =
-  let slot = alloc_slot st ~input:i ~output:o in
-  adopt_list st slot path;
-  let h = Dist.holding_time st.crng st.cfg.holding in
-  schedule st h (ev_hangup ((st.calls.c_stamp.(slot) * st.calls.cap) + slot));
+  schedule st h (ev_hangup (Calls.key st.calls slot));
   if st.measuring then st.fs.(2) <- st.fs.(2) +. h
 
 (* identity calls input i -> output i that never hang up — the
    saturating workload of the time-to-degradation experiments *)
 let saturate st =
-  let k = min (Network.n_inputs st.net) (Network.n_outputs st.net) in
-  for i = 0 to k - 1 do
+  let c = st.calls in
+  for i = 0 to c.cap - 1 do
     let input = st.net.Network.inputs.(i)
     and output = st.net.Network.outputs.(i) in
-    match Greedy.route st.router ~input ~output with
+    match Greedy.route c.router ~input ~output with
     | Some path ->
-        let slot = alloc_slot st ~input:i ~output:i in
-        adopt_list st slot path;
+        assign_id st (Calls.place_list c ~i ~o:i path);
         st.served <- st.served + 1
     | None -> st.blocked <- st.blocked + 1
   done
@@ -497,19 +298,15 @@ let saturate st =
    from scratch over the fault-masked graph; on success the whole layout
    migrates at once.  Cold path — list allocations are fine here. *)
 let try_rearrange st ~budget ~i ~o =
-  let s = st.calls in
-  let live = ref [] in
-  let sl = ref s.live_head in
-  while !sl >= 0 do
-    live := !sl :: !live;
-    sl := s.c_next.(!sl)
-  done;
+  let c = st.calls in
   let live =
-    List.sort (fun a b -> Int.compare s.call_id.(a) s.call_id.(b)) !live
+    List.sort
+      (fun a b -> Int.compare st.call_id.(a) st.call_id.(b))
+      (Calls.live_slots c)
   in
   let inputs = st.net.Network.inputs and outputs = st.net.Network.outputs in
   let reqs =
-    List.map (fun sl -> (inputs.(s.c_in.(sl)), outputs.(s.c_out.(sl)))) live
+    List.map (fun sl -> (inputs.(c.c_in.(sl)), outputs.(c.c_out.(sl)))) live
     @ [ (inputs.(i), outputs.(o)) ]
   in
   match
@@ -518,26 +315,12 @@ let try_rearrange st ~budget ~i ~o =
   with
   | Backtrack.Unroutable | Backtrack.Budget_exceeded -> false
   | Backtrack.Routed paths ->
-      List.iter
-        (fun sl ->
-          Greedy.release_buf st.router s.c_path.(sl) ~len:s.c_plen.(sl);
-          for j = 0 to s.c_plen.(sl) - 1 do
-            st.owner.(s.c_path.(sl).(j)) <- -1
-          done)
-        live;
-      let rec go cs ps =
-        match (cs, ps) with
-        | [], [ p_new ] ->
-            Greedy.occupy st.router p_new;
-            place_new_list st ~i ~o p_new
-        | sl :: cs', p :: ps' ->
-            Greedy.occupy st.router p;
-            set_path_list st sl p;
-            List.iter (fun v -> st.owner.(v) <- sl) p;
-            go cs' ps'
-        | _ -> assert false
-      in
-      go live paths;
+      (* the new request's path comes last *)
+      let k = List.length live in
+      Calls.relay c live (List.filteri (fun j _ -> j < k) paths);
+      let p_new = List.nth paths k in
+      Greedy.occupy c.router p_new;
+      start_call st (Calls.place_list c ~i ~o p_new);
       st.rearranged <- st.rearranged + 1;
       true
 
@@ -551,20 +334,16 @@ let handle_arrival st =
       st.fs.(1) <- 0.0
   | _ -> ());
   let blocked, full =
-    if st.idle_in.size = 0 || st.idle_out.size = 0 then (true, true)
+    let c = st.calls in
+    if c.idle_in.size = 0 || c.idle_out.size = 0 then (true, true)
     else begin
       (* draws, in fixed order: input pick, output pick, then (on
          placement) the holding time *)
-      let i = pool_draw st.crng st.idle_in in
-      let o = pool_draw st.crng st.idle_out in
-      let input = st.net.Network.inputs.(i)
-      and output = st.net.Network.outputs.(o) in
-      let len =
-        Greedy.route_into_edges st.router ~input ~output ~buf:st.route_buf
-          ~ebuf:st.route_ebuf
-      in
+      let i = Calls.draw st.crng c.idle_in in
+      let o = Calls.draw st.crng c.idle_out in
+      let len = Calls.route c ~i ~o in
       if len >= 0 then begin
-        place_new_buf st ~i ~o ~len;
+        start_call st (Calls.place c ~i ~o ~len);
         (false, false)
       end
       else
@@ -600,46 +379,23 @@ let handle_arrival st =
     schedule st (Dist.exponential st.crng ~rate:st.cfg.load) ev_arrival
 
 let handle_hangup st key =
-  let slot = key mod st.calls.cap and stamp = key / st.calls.cap in
-  (* stamp mismatch = the call was severed earlier and its slot
-     permanently freed; this hangup event is stale *)
-  if st.calls.c_stamp.(slot) = stamp then begin
-    vacate st slot;
-    free_slot st slot
+  (* a stale key: the call was severed earlier and its slot released *)
+  let slot = Calls.slot_of_key st.calls key in
+  if slot >= 0 then begin
+    Calls.vacate st.calls slot;
+    Calls.release st.calls slot
   end
-
-let crosses st slot e =
-  let edges = st.calls.c_edges.(slot) in
-  let k = st.calls.c_plen.(slot) - 1 in
-  let found = ref false in
-  let i = ref 0 in
-  while (not !found) && !i < k do
-    if edges.(!i) = e then found := true;
-    incr i
-  done;
-  !found
 
 (* drop the call (if any) whose path crosses the failed switch, then
    attempt an immediate greedy reroute of the same endpoint pair *)
 let sever st e ~u ~v =
   let try_drop vtx =
-    let slot = st.owner.(vtx) in
-    if slot >= 0 && crosses st slot e then begin
+    let slot = Calls.sever st.calls ~e vtx in
+    if slot >= 0 then begin
       st.dropped <- st.dropped + 1;
-      vacate st slot;
-      let input = st.net.Network.inputs.(st.calls.c_in.(slot))
-      and output = st.net.Network.outputs.(st.calls.c_out.(slot)) in
-      let len =
-        Greedy.route_into_edges st.router ~input ~output ~buf:st.route_buf
-          ~ebuf:st.route_ebuf
-      in
-      if len >= 0 then begin
-        (* same slot, same stamp: the pending hangup stays valid *)
-        adopt_buf st slot ~len;
-        st.rerouted <- st.rerouted + 1
-      end
+      if Calls.reroute st.calls slot then st.rerouted <- st.rerouted + 1
       else begin
-        free_slot st slot;
+        Calls.release st.calls slot;
         if st.cfg.stop_on_degradation && not st.stopped then begin
           st.degraded_at <- Some st.fs.(0);
           st.stopped <- true
@@ -779,7 +535,8 @@ let drain_shard st k =
              window, and any call placed or rerouted at commit routes
              over the fully-committed fault mask — so it cannot cross
              this edge, and no sever is ever missed. *)
-          if st.owner.(u) >= 0 || (v <> u && st.owner.(v) >= 0) then
+          let owner = st.calls.owner in
+          if owner.(u) >= 0 || (v <> u && owner.(v) >= 0) then
             esc_push sh t e
         end;
         Heap.push sh.sheap
@@ -957,7 +714,7 @@ let finish st =
     rearranged = st.rearranged;
     failures = st.failures;
     repairs = st.repairs;
-    max_concurrent = st.max_concurrent;
+    max_concurrent = st.calls.max_concurrent;
     occupancy;
     carried;
     measured_offered = st.w_offered;
@@ -1020,6 +777,57 @@ type summary = {
   catastrophes : int;
 }
 
+let summarize = function
+  | [] -> invalid_arg "Traffic.summarize: no replications"
+  | stats ->
+      let reps = List.length stats in
+      let sum f = List.fold_left (fun a (s : stats) -> a + f s) 0 stats in
+      let sumf f = List.fold_left (fun a (s : stats) -> a +. f s) 0.0 stats in
+      let count = sum (fun s -> s.measured_offered) in
+      let pooled =
+        Array.of_list
+          (List.concat_map (fun (s : stats) -> Array.to_list s.batch_blocking)
+             stats)
+      in
+      let b =
+        if Array.length pooled >= 2 then Batch_means.of_means ~count pooled
+        else begin
+          (* no batch records (horizon stops or truncated runs): fall back
+             to replication-level blocking means *)
+          let rep_means =
+            Array.of_list (List.map (fun (s : stats) -> s.blocking) stats)
+          in
+          if Array.length rep_means >= 2 then
+            Batch_means.of_means ~count rep_means
+          else
+            (* one replication and fewer than two batches: no spread to
+               estimate, so the interval is undefined, not zero-width *)
+            { Batch_means.mean = rep_means.(0); ci_low = Float.nan;
+              ci_high = Float.nan; batches = 1; count }
+        end
+      in
+      {
+        replications = reps;
+        (* blocking is a proportion: the Student-t bounds can leave
+           [0, 1], so clip them (a nan bound stays nan) *)
+        blocking =
+          { b with ci_low = Float.max 0.0 b.ci_low;
+            ci_high = Float.min 1.0 b.ci_high };
+        occupancy = sumf (fun s -> s.occupancy) /. float_of_int reps;
+        carried = sumf (fun s -> s.carried) /. float_of_int reps;
+        t_offered = sum (fun s -> s.offered);
+        t_served = sum (fun s -> s.served);
+        t_blocked = sum (fun s -> s.blocked);
+        t_blocked_full = sum (fun s -> s.blocked_full);
+        t_dropped = sum (fun s -> s.dropped);
+        t_rerouted = sum (fun s -> s.rerouted);
+        t_failures = sum (fun s -> s.failures);
+        t_repairs = sum (fun s -> s.repairs);
+        t_events = sum (fun s -> s.events);
+        t_sim_time = sumf (fun s -> s.sim_time);
+        catastrophes = sum (fun s -> if s.catastrophe_at <> None then 1 else 0);
+      }
+
 let estimate ?jobs ?trace ?(label = "traffic.estimate") ~trials ~rng
     ~config net =
   if trials < 1 then invalid_arg "Traffic.estimate: need trials >= 1";
@@ -1033,47 +841,4 @@ let estimate ?jobs ?trace ?(label = "traffic.estimate") ~trials ~rng
       ~combine:(fun global chunk -> global := !chunk @ !global)
       ()
   in
-  let stats = List.rev !acc in
-  let reps = List.length stats in
-  let sum f = List.fold_left (fun a (s : stats) -> a + f s) 0 stats in
-  let sumf f = List.fold_left (fun a (s : stats) -> a +. f s) 0.0 stats in
-  let count = sum (fun s -> s.measured_offered) in
-  let pooled =
-    Array.of_list
-      (List.concat_map (fun (s : stats) -> Array.to_list s.batch_blocking)
-         stats)
-  in
-  let blocking =
-    if Array.length pooled >= 2 then Batch_means.of_means ~count pooled
-    else begin
-      (* no batch records (horizon stops or truncated runs): fall back
-         to replication-level blocking means *)
-      let rep_means =
-        Array.of_list (List.map (fun (s : stats) -> s.blocking) stats)
-      in
-      if Array.length rep_means >= 2 then
-        Batch_means.of_means ~count rep_means
-      else
-        (* one replication and fewer than two batches: no spread to
-           estimate, so the interval is undefined, not zero-width *)
-        { Batch_means.mean = rep_means.(0); ci_low = Float.nan;
-          ci_high = Float.nan; batches = 1; count }
-    end
-  in
-  {
-    replications = reps;
-    blocking;
-    occupancy = sumf (fun s -> s.occupancy) /. float_of_int reps;
-    carried = sumf (fun s -> s.carried) /. float_of_int reps;
-    t_offered = sum (fun s -> s.offered);
-    t_served = sum (fun s -> s.served);
-    t_blocked = sum (fun s -> s.blocked);
-    t_blocked_full = sum (fun s -> s.blocked_full);
-    t_dropped = sum (fun s -> s.dropped);
-    t_rerouted = sum (fun s -> s.rerouted);
-    t_failures = sum (fun s -> s.failures);
-    t_repairs = sum (fun s -> s.repairs);
-    t_events = sum (fun s -> s.events);
-    t_sim_time = sumf (fun s -> s.sim_time);
-    catastrophes = sum (fun s -> if s.catastrophe_at <> None then 1 else 0);
-  }
+  summarize (List.rev !acc)

@@ -80,8 +80,8 @@
 
     With [shards = 1] (the default) the engine is bit-identical to the
     pre-scale-layer implementation, event for event and draw for draw
-    — {!Traffic_ref} keeps that engine frozen and the test suite pins
-    the equivalence. *)
+    — the test library [Traffic_ref] keeps that engine frozen and the
+    test suite pins the equivalence. *)
 
 type stop =
   | Horizon of float
@@ -215,9 +215,9 @@ type summary = {
   replications : int;
   blocking : Batch_means.summary;
       (** batch means pooled across replications (replication-level
-          means when no batches were recorded); with one replication and
-          fewer than two batches the interval is undefined: [ci_low] and
-          [ci_high] are [nan] *)
+          means when no batches were recorded), clipped to [0, 1]; with
+          one replication and fewer than two batches the interval is
+          undefined: [ci_low] and [ci_high] are [nan] *)
   occupancy : float;  (** mean over replications *)
   carried : float;
   t_offered : int;  (** totals over all replications *)
@@ -232,6 +232,12 @@ type summary = {
   t_sim_time : float;
   catastrophes : int;  (** replications that ended in a catastrophe *)
 }
+
+val summarize : stats list -> summary
+(** Pool replications, in order, into a {!summary}: the blocking
+    interval comes from the pooled batch means (replication-level means
+    when no batches were recorded), clipped to [0, 1].
+    @raise Invalid_argument on an empty list. *)
 
 val estimate :
   ?jobs:int ->

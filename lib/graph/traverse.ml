@@ -223,26 +223,42 @@ let shortest_path_into_buf ?(allowed = always) ?(edge_ok = always) g ~src ~dst
     end
   end
 
+(* Kahn's algorithm with [order] itself as the FIFO: [order.(head ..
+   tail - 1)] is the queue, so the order is exactly that of a queue
+   seeded with the sources in ascending id order *)
 let topological_order ?(edge_ok = always) g =
   let n = Digraph.vertex_count g in
+  let off = Digraph.Csr.out_off g
+  and dst = Digraph.Csr.out_dst g
+  and eid = Digraph.Csr.out_eid g in
   let indeg = Array.make n 0 in
-  Digraph.iter_edges g (fun ~eid ~src:_ ~dst ->
-      if edge_ok eid then indeg.(dst) <- indeg.(dst) + 1);
-  let queue = Queue.create () in
-  Array.iteri (fun v d -> if d = 0 then Queue.add v queue) indeg;
-  let order = Array.make n (-1) in
-  let filled = ref 0 in
-  while not (Queue.is_empty queue) do
-    let v = Queue.pop queue in
-    order.(!filled) <- v;
-    incr filled;
-    Digraph.iter_out g v (fun ~dst ~eid ->
-        if edge_ok eid then begin
-          indeg.(dst) <- indeg.(dst) - 1;
-          if indeg.(dst) = 0 then Queue.add dst queue
-        end)
+  for i = 0 to off.(n) - 1 do
+    if edge_ok eid.(i) then indeg.(dst.(i)) <- indeg.(dst.(i)) + 1
   done;
-  if !filled = n then Some order else None
+  let order = Array.make n (-1) in
+  let tail = ref 0 in
+  for v = 0 to n - 1 do
+    if indeg.(v) = 0 then begin
+      order.(!tail) <- v;
+      incr tail
+    end
+  done;
+  let head = ref 0 in
+  while !head < !tail do
+    let v = order.(!head) in
+    incr head;
+    for i = off.(v) to off.(v + 1) - 1 do
+      if edge_ok eid.(i) then begin
+        let d = dst.(i) in
+        indeg.(d) <- indeg.(d) - 1;
+        if indeg.(d) = 0 then begin
+          order.(!tail) <- d;
+          incr tail
+        end
+      end
+    done
+  done;
+  if !tail = n then Some order else None
 
 let is_acyclic g = topological_order g <> None
 

@@ -5,34 +5,28 @@
     reports a batch summary, this engine takes each arrival from the
     outside as a {!Proto.request} and answers through an [emit]
     callback, while per-switch failure/repair clocks keep firing in
-    virtual time between requests.  The call path reuses the scaled
-    engine's machinery — idle-terminal pools, the structure-of-arrays
-    call store with stamp-keyed hangup invalidation,
-    [Greedy.route_into_edges] over fault masks, and incremental Lemma-7
-    catastrophe detection — so a decision allocates only its protocol
-    strings: steady-state allocation per decision is flat over a
-    10^8-call soak.
+    virtual time between requests.  The calls live in the DES's own
+    call table, {!Ftcsn_des.Calls} — idle-terminal pools, the
+    structure-of-arrays store with stamp-keyed hangup invalidation,
+    sever and reroute over {!Ftcsn_des.Fault_mask} — with incremental
+    Lemma-7 catastrophe detection beside it, so a decision allocates
+    only its protocol strings: steady-state allocation per decision is
+    flat over a 10^8-call soak.
 
     {2 Determinism}
 
     The response stream is a pure function of (network, seed, options,
-    request stream).  Two ingredients make it also independent of
-    [shards]:
+    request stream):
 
     - every switch [e] draws its entire clock history (first failure,
       open/closed coin, repair, next failure, ...) from its own indexed
       substream [Rng.substream rng (1 + e)], so event {e times} never
       depend on processing order;
-    - events fire in ascending time with ties broken control-heap
-      first, then by ascending shard; distinct continuous draws tie
-      with probability zero, so the execution order is the time order
-      whatever the partition.
-
-    Endpoint picks and holding-time draws for requests come from the
-    control substream ([Rng.substream rng 0]) in request order.
-    [shards] therefore only changes which heap holds which clock —
-    never a draw or a verdict — and the acceptance pin (byte-identical
-    replay at every shard count) holds by construction. *)
+    - the clocks share one fault heap and hangups sit on a control
+      heap; events fire in ascending time, the control heap first on
+      (measure-zero) ties;
+    - endpoint picks and holding-time draws for requests come from the
+      control substream ([Rng.substream rng 0]) in request order. *)
 
 type t
 
@@ -41,7 +35,6 @@ val create :
   ?holding:Ftcsn_des.Dist.holding ->
   ?mtbf:float ->
   ?mttr:float ->
-  ?shards:int ->
   ?trace:Ftcsn_obs.Trace.sink ->
   emit:(Proto.response -> unit) ->
   rng:Ftcsn_prng.Rng.t ->
@@ -53,8 +46,7 @@ val create :
     emits one JSONL span per call decision.  [emit] receives every
     response, including asynchronous ones (reroutes, drops, releases)
     produced while virtual time advances.
-    @raise Invalid_argument on non-positive [mtbf]/[mttr], or [shards]
-    outside [1 .. Shard.regions net]. *)
+    @raise Invalid_argument on non-positive [mtbf]/[mttr]. *)
 
 val handle : t -> Proto.request -> unit
 (** Advance virtual time to the request's [at] (never backwards), fire

@@ -23,10 +23,14 @@ module Rng = Ftcsn_prng.Rng
 module Trials = Ftcsn_sim.Trials
 module Metrics = Ftcsn_obs.Metrics
 module Counter = Ftcsn_obs.Counter
+module Heap = Ftcsn_des.Heap
+module Dist = Ftcsn_des.Dist
+module Batch_means = Ftcsn_des.Batch_means
+module Traffic = Ftcsn_des.Traffic
 open Traffic
 (* [open Traffic] supplies the shared public types (config, stats,
-   summary, stop, policy); the engine internals below are this module's
-   own frozen copies. *)
+   summary, stop, policy) and the replication pooling ([summarize]);
+   the engine internals below are this module's own frozen copies. *)
 
 (* idle-terminal index pool: [items] is always a permutation of [0, n)
    whose prefix [0, size) is the idle set, with [pos] the inverse map —
@@ -519,47 +523,4 @@ let estimate ?jobs ?trace ?(label = "traffic.estimate") ~trials ~rng
       ~combine:(fun global chunk -> global := !chunk @ !global)
       ()
   in
-  let stats = List.rev !acc in
-  let reps = List.length stats in
-  let sum f = List.fold_left (fun a (s : stats) -> a + f s) 0 stats in
-  let sumf f = List.fold_left (fun a (s : stats) -> a +. f s) 0.0 stats in
-  let count = sum (fun s -> s.measured_offered) in
-  let pooled =
-    Array.of_list
-      (List.concat_map (fun (s : stats) -> Array.to_list s.batch_blocking)
-         stats)
-  in
-  let blocking =
-    if Array.length pooled >= 2 then Batch_means.of_means ~count pooled
-    else begin
-      (* no batch records (horizon stops or truncated runs): fall back
-         to replication-level blocking means *)
-      let rep_means =
-        Array.of_list (List.map (fun (s : stats) -> s.blocking) stats)
-      in
-      if Array.length rep_means >= 2 then
-        Batch_means.of_means ~count rep_means
-      else begin
-        let mean = rep_means.(0) in
-        { Batch_means.mean; ci_low = mean; ci_high = mean; batches = 1;
-          count }
-      end
-    end
-  in
-  {
-    replications = reps;
-    blocking;
-    occupancy = sumf (fun s -> s.occupancy) /. float_of_int reps;
-    carried = sumf (fun s -> s.carried) /. float_of_int reps;
-    t_offered = sum (fun s -> s.offered);
-    t_served = sum (fun s -> s.served);
-    t_blocked = sum (fun s -> s.blocked);
-    t_blocked_full = sum (fun s -> s.blocked_full);
-    t_dropped = sum (fun s -> s.dropped);
-    t_rerouted = sum (fun s -> s.rerouted);
-    t_failures = sum (fun s -> s.failures);
-    t_repairs = sum (fun s -> s.repairs);
-    t_events = sum (fun s -> s.events);
-    t_sim_time = sumf (fun s -> s.sim_time);
-    catastrophes = sum (fun s -> if s.catastrophe_at <> None then 1 else 0);
-  }
+  summarize (List.rev !acc)

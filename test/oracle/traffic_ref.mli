@@ -4,9 +4,11 @@
     before the million-switch scale layer landed: one monolithic event
     heap, heap-allocated call records (lists and a hashtable), and a
     full O(n + m) union-find sweep for every Lemma-7 catastrophe check.
-    It shares {!Traffic}'s public [config] / [stats] / [summary] types
-    (the [shards] / [shard_jobs] fields of [config] are ignored — this
-    engine is always monolithic) and serves two purposes:
+    It shares {!Ftcsn_des.Traffic}'s public [config] / [stats] /
+    [summary] types and its replication pooling ([Traffic.summarize]);
+    the [shards] / [shard_jobs] fields of [config] are ignored — this
+    engine is always monolithic.  It is a test-and-bench library, not
+    installed, and serves two purposes:
 
     - {b bit-identity oracle}: the test suite pins
       [Traffic.estimate ~config:{... shards = 1}] against
@@ -22,8 +24,10 @@
     not move. *)
 
 val run :
-  rng:Ftcsn_prng.Rng.t -> config:Traffic.config -> Ftcsn_networks.Network.t
-  -> Traffic.stats
+  rng:Ftcsn_prng.Rng.t ->
+  config:Ftcsn_des.Traffic.config ->
+  Ftcsn_networks.Network.t ->
+  Ftcsn_des.Traffic.stats
 (** One replication under the pre-PR engine.  Same determinism contract
     as the original [Traffic.run]: all stochastic draws come from [rng]
     in a fixed documented order, so equal seeds give equal stats. *)
@@ -34,9 +38,9 @@ val estimate :
   ?label:string ->
   trials:int ->
   rng:Ftcsn_prng.Rng.t ->
-  config:Traffic.config ->
+  config:Ftcsn_des.Traffic.config ->
   Ftcsn_networks.Network.t ->
-  Traffic.summary
+  Ftcsn_des.Traffic.summary
 (** Multi-replication estimate under the pre-PR engine ([label]
     defaults to ["traffic.estimate"], matching the original).  Trial
     [i] runs on [Rng.substream rng i]; results are bit-identical at

@@ -11,6 +11,13 @@ module Batch_means = Ftcsn_des.Batch_means
 module Traffic = Ftcsn_des.Traffic
 module Crossbar = Ftcsn_networks.Crossbar
 module Benes = Ftcsn_networks.Benes
+module Network = Ftcsn_networks.Network
+module Topology = Ftcsn_networks.Topology
+module Digraph = Ftcsn_graph.Digraph
+module Greedy = Ftcsn_routing.Greedy
+module Backtrack = Ftcsn_routing.Backtrack
+module Calls = Ftcsn_des.Calls
+module Fault_mask = Ftcsn_des.Fault_mask
 
 let check = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
@@ -233,6 +240,28 @@ let test_traffic_saturate_degrade () =
 (* one horizon-stopped replication records no batches: its blocking
    interval is undefined (nan, written as JSON null), not [mean, mean];
    two replications give a real interval *)
+(* a proportion's interval: the Student-t bounds of near-0 (near-1)
+   batch means reach below 0 (above 1) unless clipped *)
+let test_blocking_ci_clipped () =
+  let net = Crossbar.square 4 in
+  let config = Traffic.config ~load:2.0 ~stop:(Traffic.Horizon 50.0) () in
+  let s = Traffic.run ~rng:(Rng.create ~seed:4) ~config net in
+  let ci means =
+    (Traffic.summarize [ { s with Traffic.batch_blocking = means } ])
+      .Traffic.blocking
+  in
+  let lo = ci [| 0.0; 0.0; 0.0; 0.0; 0.01 |] in
+  checkf "low bound clipped to 0" 0.0 lo.Batch_means.ci_low;
+  checkb "high bound kept" true
+    (lo.Batch_means.ci_high > lo.Batch_means.mean
+    && lo.Batch_means.ci_high < 1.0);
+  let hi = ci [| 1.0; 1.0; 1.0; 1.0; 0.99 |] in
+  checkf "high bound clipped to 1" 1.0 hi.Batch_means.ci_high;
+  checkb "low bound kept" true (hi.Batch_means.ci_low > 0.0);
+  match Traffic.summarize [] with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "summarize [] should be refused"
+
 let test_single_replication_ci () =
   let net = Crossbar.square 4 in
   let config = Traffic.config ~load:2.0 ~stop:(Traffic.Horizon 200.0) () in
@@ -271,6 +300,155 @@ let test_config_validation () =
         ~stop:(Traffic.Calls { warmup = 10; measured = 100 })
         ());
   rejects (fun () -> Traffic.config ~stop:(Traffic.Horizon infinity) ())
+
+(* ---------- Calls: the shared call table under random operations ---------- *)
+
+(* recompute the table's derived state from its live paths and compare:
+   vertex-disjoint paths from each call's input to its output over its
+   recorded switches, [owner] and the router's busy set equal to their
+   union, idle pools the complement of the live endpoints, and every
+   live slot's key current *)
+let calls_invariants (c : Calls.t) =
+  let net = c.net in
+  let g = net.Network.graph in
+  let fail fmt = Alcotest.failf ("Calls invariant: " ^^ fmt) in
+  let owner = Array.make (Digraph.vertex_count g) (-1) in
+  let busy_in = Array.make (Network.n_inputs net) false
+  and busy_out = Array.make (Network.n_outputs net) false in
+  let live = Calls.live_slots c in
+  if List.length live <> c.live_count then fail "live_count";
+  List.iter
+    (fun sl ->
+      let p = c.c_path.(sl) and len = c.c_plen.(sl) in
+      if
+        p.(0) <> net.Network.inputs.(c.c_in.(sl))
+        || p.(len - 1) <> net.Network.outputs.(c.c_out.(sl))
+      then fail "slot %d's path does not join its endpoints" sl;
+      for j = 0 to len - 1 do
+        if owner.(p.(j)) >= 0 then fail "vertex %d on two live paths" p.(j);
+        owner.(p.(j)) <- sl
+      done;
+      for j = 0 to len - 2 do
+        let e = c.c_edges.(sl).(j) in
+        if Digraph.edge_src g e <> p.(j) || Digraph.edge_dst g e <> p.(j + 1)
+        then fail "slot %d hop %d: switch %d is not on the hop" sl j e
+      done;
+      busy_in.(c.c_in.(sl)) <- true;
+      busy_out.(c.c_out.(sl)) <- true;
+      if Calls.slot_of_key c (Calls.key c sl) <> sl then
+        fail "slot %d's key is stale" sl)
+    live;
+  Array.iteri
+    (fun v o ->
+      if c.owner.(v) <> o then
+        fail "owner.(%d) = %d, paths say %d" v c.owner.(v) o;
+      if Greedy.busy c.router v <> (o >= 0) then fail "router busy at %d" v)
+    owner;
+  let pool_ok name (p : Calls.pool) busy =
+    Array.iteri
+      (fun x b -> if Calls.is_idle p x = b then fail "%s %d idle = live" name x)
+      busy;
+    if p.size <> Array.length busy - c.live_count then fail "%s size" name
+  in
+  pool_ok "input" c.idle_in busy_in;
+  pool_ok "output" c.idle_out busy_out;
+  if c.max_concurrent < c.live_count then fail "max_concurrent"
+
+(* drive a table on [net] through [ops] random steps — place (buffer or
+   list path), hang up by key, release a live call, fail a switch with
+   sever/reroute, repair, re-lay every call — auditing after each *)
+let calls_walk ~engine net seed ops =
+  let rng = Rng.create ~seed in
+  let mask = Fault_mask.create net in
+  let c =
+    Calls.create net
+      ~router:
+        (Greedy.create ~allowed:(Fault_mask.allowed mask)
+           ~edge_ok:(Fault_mask.edge_ok mask) ~engine net)
+  in
+  let g = net.Network.graph in
+  let m = Digraph.edge_count g in
+  let keys = ref [] and failed = ref [] in
+  let release sl =
+    let k = Calls.key c sl in
+    Calls.release c sl;
+    if Calls.slot_of_key c k <> -1 then
+      Alcotest.failf "slot %d: a released key still reads as live" sl
+  in
+  for _ = 1 to ops do
+    (match Rng.int rng 7 with
+    | (0 | 1) when c.idle_in.size > 0 && c.idle_out.size > 0 ->
+        let i = Calls.draw rng c.idle_in in
+        let o = Calls.draw rng c.idle_out in
+        let len = Calls.route c ~i ~o in
+        if len >= 0 then keys := Calls.key c (Calls.place c ~i ~o ~len) :: !keys
+    | 2 when c.idle_in.size > 0 && c.idle_out.size > 0 -> (
+        let i = Calls.draw rng c.idle_in in
+        let o = Calls.draw rng c.idle_out in
+        match
+          Greedy.route c.router ~input:net.Network.inputs.(i)
+            ~output:net.Network.outputs.(o)
+        with
+        | Some path ->
+            keys := Calls.key c (Calls.place_list c ~i ~o path) :: !keys
+        | None -> ())
+    | 3 when !keys <> [] ->
+        let k = List.nth !keys (Rng.int rng (List.length !keys)) in
+        let sl = Calls.slot_of_key c k in
+        if sl >= 0 then begin
+          Calls.vacate c sl;
+          release sl
+        end
+    | 4 ->
+        let e = Rng.int rng m in
+        if Fault_mask.is_normal mask e then begin
+          Fault_mask.fail mask e ~closed:(Rng.bool rng);
+          failed := e :: !failed;
+          let u, v = Digraph.edge_endpoints g e in
+          List.iter
+            (fun x ->
+              let sl = Calls.sever c ~e x in
+              if sl >= 0 && not (Calls.reroute c sl) then release sl)
+            (if u = v then [ u ] else [ u; v ])
+        end
+    | 5 when !failed <> [] ->
+        let e = List.hd !failed in
+        failed := List.tl !failed;
+        Fault_mask.repair mask e
+    | 6 -> (
+        let live = Calls.live_slots c in
+        let reqs =
+          List.map
+            (fun sl ->
+              ( net.Network.inputs.(c.c_in.(sl)),
+                net.Network.outputs.(c.c_out.(sl)) ))
+            live
+        in
+        match
+          Backtrack.route_all ~budget:200 ~allowed:(Fault_mask.allowed mask)
+            ~edge_ok:(Fault_mask.edge_ok mask) net reqs
+        with
+        | Backtrack.Routed paths -> Calls.relay c live paths
+        | Backtrack.Unroutable | Backtrack.Budget_exceeded -> ())
+    | _ -> ());
+    calls_invariants c
+  done
+
+let prop_calls_invariants =
+  let nets =
+    List.map
+      (fun (spec, engine) ->
+        match Topology.build_string ~rng:(Rng.create ~seed:5) spec with
+        | Ok b -> (b.Topology.net, engine)
+        | Error msg -> failwith msg)
+      [ ("benes:16", `Loop); ("multibutterfly:16", `Bfs) ]
+  in
+  QCheck2.Test.make ~name:"Calls invariants under random operations"
+    ~count:40
+    QCheck2.Gen.(pair (int_range 0 100_000) (int_range 1 300))
+    (fun (seed, ops) ->
+      List.iter (fun (net, engine) -> calls_walk ~engine net seed ops) nets;
+      true)
 
 (* ---------- Traffic: determinism across the Trials fan-out ---------- *)
 
@@ -341,6 +519,9 @@ let () =
           Alcotest.test_case "config validation" `Quick test_config_validation;
           Alcotest.test_case "single-replication CI is undefined" `Quick
             test_single_replication_ci;
+          Alcotest.test_case "blocking CI clipped to [0, 1]" `Quick
+            test_blocking_ci_clipped;
         ] );
       ("determinism", props);
+      ("calls", [ QCheck_alcotest.to_alcotest prop_calls_invariants ]);
     ]

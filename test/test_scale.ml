@@ -8,6 +8,7 @@
 
 module Rng = Ftcsn_prng.Rng
 module Digraph = Ftcsn_graph.Digraph
+module Traverse = Ftcsn_graph.Traverse
 module Union_find = Ftcsn_util.Union_find
 module Dyn_conn = Ftcsn_reliability.Dyn_conn
 module Network = Ftcsn_networks.Network
@@ -19,7 +20,6 @@ module Batch_means = Ftcsn_des.Batch_means
 module Metrics = Ftcsn_obs.Metrics
 module Counter = Ftcsn_obs.Counter
 module Traffic = Ftcsn_des.Traffic
-module Traffic_ref = Ftcsn_des.Traffic_ref
 
 let checkb = Alcotest.(check bool)
 let check = Alcotest.(check int)
@@ -171,6 +171,54 @@ let test_shard_partition () =
       | exception Invalid_argument _ -> ()
       | _ -> Alcotest.fail "shards = 0 should be refused")
     nets
+
+(* the boxed-Queue Kahn pass that [Traverse.topological_order] (behind
+   [Shard.partition]'s levels) replaced, kept as its oracle *)
+let queue_topological_order ~edge_ok g =
+  let n = Digraph.vertex_count g in
+  let indeg = Array.make n 0 in
+  Digraph.iter_edges g (fun ~eid ~src:_ ~dst ->
+      if edge_ok eid then indeg.(dst) <- indeg.(dst) + 1);
+  let queue = Queue.create () in
+  Array.iteri (fun v d -> if d = 0 then Queue.add v queue) indeg;
+  let order = Array.make n (-1) in
+  let filled = ref 0 in
+  while not (Queue.is_empty queue) do
+    let v = Queue.pop queue in
+    order.(!filled) <- v;
+    incr filled;
+    Digraph.iter_out g v (fun ~dst ~eid ->
+        if edge_ok eid then begin
+          indeg.(dst) <- indeg.(dst) - 1;
+          if indeg.(dst) = 0 then Queue.add dst queue
+        end)
+  done;
+  if !filled = n then Some order else None
+
+let test_topological_order () =
+  let cases =
+    [
+      ("all edges", fun _ -> true);
+      ("every third edge cut", fun e -> e mod 3 <> 0);
+    ]
+  in
+  List.iter
+    (fun (name, net) ->
+      let g = net.Network.graph in
+      List.iter
+        (fun (what, edge_ok) ->
+          if
+            Traverse.topological_order ~edge_ok g
+            <> queue_topological_order ~edge_ok g
+          then
+            Alcotest.failf "%s (%s): order diverged from the Queue pass" name
+              what)
+        cases)
+    (registry_nets ~n:8 @ registry_nets ~n:16);
+  let cyc = Digraph.of_edges ~n:3 [| (0, 1); (1, 2); (2, 0) |] in
+  checkb "cycle has no order" true
+    (Traverse.topological_order cyc = None
+    && queue_topological_order ~edge_ok:(fun _ -> true) cyc = None)
 
 (* ---------- Fault_mask vs the state-array mask ---------- *)
 
@@ -504,7 +552,11 @@ let () =
           test_dyn_conn_qcheck;
         ] );
       ( "shard",
-        [ Alcotest.test_case "partition properties" `Quick test_shard_partition ] );
+        [
+          Alcotest.test_case "partition properties" `Quick test_shard_partition;
+          Alcotest.test_case "topological order = Queue Kahn on every family"
+            `Quick test_topological_order;
+        ] );
       ( "fault mask",
         [ Alcotest.test_case "= state-array mask on every family" `Quick
             test_fault_mask ] );

@@ -8,7 +8,6 @@
 module Rng = Ftcsn_prng.Rng
 module Json = Ftcsn_obs.Json
 module Benes = Ftcsn_networks.Benes
-module Shard = Ftcsn_des.Shard
 module Proto = Ftcsn_serve.Proto
 module Admission = Ftcsn_serve.Admission
 module Engine = Ftcsn_serve.Engine
@@ -210,7 +209,7 @@ let with_script text f =
 
 (* run the full reactor stack over a script and return the response
    stream as one string plus the engine for post-hoc inspection *)
-let run_replay ?(engine = `Bfs) ?(shards = 1) ?(seed = 11) ?admission
+let run_replay ?(engine = `Bfs) ?(seed = 11) ?admission
     ?(mtbf = 40.0) ~calls net_gen =
   let net = net_gen () in
   let out = Buffer.create 4096 in
@@ -219,7 +218,7 @@ let run_replay ?(engine = `Bfs) ?(shards = 1) ?(seed = 11) ?admission
     Buffer.add_char out '\n'
   in
   let eng =
-    Engine.create ~engine ~mtbf ~mttr:2.0 ~shards ~emit
+    Engine.create ~engine ~mtbf ~mttr:2.0 ~emit
       ~rng:(Rng.create ~seed) net
   in
   let admission = Option.value admission ~default:Admission.unlimited in
@@ -230,23 +229,15 @@ let run_replay ?(engine = `Bfs) ?(shards = 1) ?(seed = 11) ?admission
   (Buffer.contents out, eng, reason)
 
 let test_replay_deterministic () =
-  (* byte-identical across runs, shard counts and routing engines; the
-     engines may pick different equal-length paths, so cross-engine we
-     pin only the verdict stream *)
+  (* byte-identical across runs for every routing engine; the engines
+     may pick different equal-length paths, so cross-engine we pin only
+     the verdict stream *)
   let net () = benes 64 in
-  let regions = Shard.regions (net ()) in
   List.iter
     (fun engine ->
       let ref_out, _, _ = run_replay ~engine ~calls:600 net in
       let again, _, _ = run_replay ~engine ~calls:600 net in
-      checks "identical across runs" ref_out again;
-      List.iter
-        (fun shards ->
-          let sharded, _, _ = run_replay ~engine ~shards ~calls:600 net in
-          checks
-            (Printf.sprintf "identical at shards=%d" shards)
-            ref_out sharded)
-        [ 2; min 5 regions ])
+      checks "identical across runs" ref_out again)
     [ `Bfs; `Staged; `Loop ];
   (* verdict (accept/block per call id) agrees across engines *)
   let verdicts out =
